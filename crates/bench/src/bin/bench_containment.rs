@@ -22,7 +22,7 @@
 //! `OOCQ_BENCH_MIN_SAMPLE_MS`, `OOCQ_BENCH_QUICK`.
 
 use oocq_bench::{Harness, Stats};
-use oocq_core::{decide_containment_with, strategy_for, Containment, EngineConfig, Strategy};
+use oocq_core::{strategy_for, Containment, Engine, EngineConfig, Strategy};
 use oocq_query::{Query, QueryBuilder};
 use oocq_schema::{AttrType, Schema, SchemaBuilder};
 
@@ -84,6 +84,15 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
+/// One certificate with both sides prepared inside the call, so every timed
+/// iteration re-derives the whole decision.
+fn decide(engine: &Engine, schema: &Schema, left: &Query, right: &Query) -> Containment {
+    let ps = engine.prepare_schema(schema);
+    engine
+        .decide(&engine.prepare(&ps, left), &engine.prepare(&ps, right))
+        .unwrap()
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -98,7 +107,7 @@ fn main() {
         cfg.min_parallel_branches = 1;
         cfg
     };
-    let serial_cfg = EngineConfig::serial();
+    let (serial_engine, par_engine) = (Engine::serial(), Engine::new(par_cfg.clone()));
 
     let schema = bench_schema();
     let right = q2(&schema);
@@ -113,8 +122,8 @@ fn main() {
         let left = q1(&schema, members, floaters);
         let name = format!("full_m{members}_f{floaters}");
 
-        let serial_cert = decide_containment_with(&schema, &left, &right, &serial_cfg).unwrap();
-        let par_cert = decide_containment_with(&schema, &left, &right, &par_cfg).unwrap();
+        let serial_cert = decide(&serial_engine, &schema, &left, &right);
+        let par_cert = decide(&par_engine, &schema, &left, &right);
         assert_eq!(
             serial_cert, par_cert,
             "{name}: parallel certificate diverges from serial"
@@ -131,12 +140,12 @@ fn main() {
         );
 
         let serial = h.run("bench_containment", &format!("{name}/serial"), || {
-            decide_containment_with(&schema, &left, &right, &serial_cfg).unwrap()
+            decide(&serial_engine, &schema, &left, &right)
         });
         let parallel = h.run(
             "bench_containment",
             &format!("{name}/parallel_t{}", par_cfg.threads),
-            || decide_containment_with(&schema, &left, &right, &par_cfg).unwrap(),
+            || decide(&par_engine, &schema, &left, &right),
         );
         entries.push(Entry {
             name,

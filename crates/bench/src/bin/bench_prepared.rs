@@ -4,10 +4,10 @@
 //! `bench_containment` plus a multi-branch minimization workload and an
 //! isomorphic-equivalence workload.
 //!
-//! * **unprepared** — every call goes through the free-function path
-//!   (`contains_terminal_with`, `minimize_positive_with`,
-//!   `equivalent_terminal_with`), re-deriving analysis, terminal classes,
-//!   branch indexes, and canonical forms per call.
+//! * **unprepared** — every call prepares its schema and queries afresh
+//!   inside the timed closure and decides through a cache-less `Engine`
+//!   (what the one-shot free functions do), re-deriving analysis, terminal
+//!   classes, branch indexes, and canonical forms per call.
 //! * **prepared** — one `Engine` session holding `PreparedQuery` handles:
 //!   artifacts are memoized on the handles and decisions are memoized in
 //!   the session's canonical decision cache, so a repeated decision reduces
@@ -24,10 +24,10 @@
 //! `OOCQ_BENCH_QUICK`.
 
 use oocq_bench::{Harness, Stats};
-use oocq_core::{
-    contains_terminal_with, equivalent_terminal_with, minimize_positive_with, Engine, EngineConfig,
-};
+use oocq_core::{Engine, PreparedQuery};
 use oocq_parser::{parse_query, parse_schema};
+use oocq_query::Query;
+use oocq_schema::Schema;
 use oocq_service::CanonicalDecisionCache;
 use std::sync::Arc;
 
@@ -69,6 +69,18 @@ const MIN_SCHEMA: &str =
     "class V {} class A : V {} class B : V {} class D : V {} class K { r: {V}; } class S : K { r: {A}; }";
 const MIN_QUERY: &str = "{ x | exists y, z: x in V & y in S & z in V & x in y.r & z in y.r }";
 
+/// One unprepared call: prepare the schema and `queries` afresh, then run
+/// `decide` on a cache-less serial engine.
+fn cold<const N: usize, T>(
+    schema: &Schema,
+    queries: [&Query; N],
+    decide: impl FnOnce(&Engine, &[PreparedQuery; N]) -> T,
+) -> T {
+    let engine = Engine::serial();
+    let ps = engine.prepare_schema(schema);
+    decide(&engine, &queries.map(|q| engine.prepare(&ps, q)))
+}
+
 struct Entry {
     name: &'static str,
     op: &'static str,
@@ -81,7 +93,6 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_prepared.json".into());
     let h = Harness::from_env();
-    let cfg = EngineConfig::serial();
     let mut entries = Vec::new();
 
     // --- Repeated Strategy::Full containment. ---
@@ -92,15 +103,18 @@ fn main() {
         let engine = Engine::serial().with_cache(Arc::new(CanonicalDecisionCache::new(4096)));
         let ps = engine.prepare_schema(&schema);
         let (p1, p2) = (engine.prepare(&ps, &q1), engine.prepare(&ps, &q2));
-        let free = contains_terminal_with(&schema, &q1, &q2, &cfg).unwrap();
+        let contains_cold = || {
+            cold(&schema, [&q1, &q2], |e, [p1, p2]| {
+                e.contains(p1, p2).unwrap()
+            })
+        };
+        let free = contains_cold();
         assert_eq!(
             engine.contains(&p1, &p2).unwrap(),
             free,
             "full_m2_f2: prepared verdict differs from free function"
         );
-        let unprepared = h.run("bench_prepared", "full_m2_f2/unprepared", || {
-            contains_terminal_with(&schema, &q1, &q2, &cfg).unwrap()
-        });
+        let unprepared = h.run("bench_prepared", "full_m2_f2/unprepared", contains_cold);
         let prepared = h.run("bench_prepared", "full_m2_f2/prepared", || {
             engine.contains(&p1, &p2).unwrap()
         });
@@ -119,15 +133,18 @@ fn main() {
         let engine = Engine::serial().with_cache(Arc::new(CanonicalDecisionCache::new(4096)));
         let ps = engine.prepare_schema(&min_schema);
         let p = engine.prepare(&ps, &min_q);
-        let free = minimize_positive_with(&min_schema, &min_q, &cfg).unwrap();
+        let minimize_cold = || cold(&min_schema, [&min_q], |e, [p]| e.minimize(p).unwrap());
+        let free = minimize_cold();
         assert_eq!(
             engine.minimize(&p).unwrap(),
             free,
             "minimize_partition: prepared result differs from free function"
         );
-        let unprepared = h.run("bench_prepared", "minimize_partition/unprepared", || {
-            minimize_positive_with(&min_schema, &min_q, &cfg).unwrap()
-        });
+        let unprepared = h.run(
+            "bench_prepared",
+            "minimize_partition/unprepared",
+            minimize_cold,
+        );
         let prepared = h.run("bench_prepared", "minimize_partition/prepared", || {
             engine.minimize(&p).unwrap()
         });
@@ -147,7 +164,12 @@ fn main() {
         let engine = Engine::serial();
         let ps = engine.prepare_schema(&schema);
         let (p1, pr) = (engine.prepare(&ps, &q1), engine.prepare(&ps, &r1));
-        let free = equivalent_terminal_with(&schema, &q1, &r1, &cfg).unwrap();
+        let equivalent_cold = || {
+            cold(&schema, [&q1, &r1], |e, [p1, p2]| {
+                e.equivalent(p1, p2).unwrap()
+            })
+        };
+        let free = equivalent_cold();
         assert_eq!(
             engine.equivalent(&p1, &pr).unwrap(),
             free,
@@ -157,9 +179,11 @@ fn main() {
             free,
             "equivalent_renamed: the renamed copy must be equivalent"
         );
-        let unprepared = h.run("bench_prepared", "equivalent_renamed/unprepared", || {
-            equivalent_terminal_with(&schema, &q1, &r1, &cfg).unwrap()
-        });
+        let unprepared = h.run(
+            "bench_prepared",
+            "equivalent_renamed/unprepared",
+            equivalent_cold,
+        );
         let prepared = h.run("bench_prepared", "equivalent_renamed/prepared", || {
             engine.equivalent(&p1, &pr).unwrap()
         });

@@ -30,10 +30,7 @@
 //! `OOCQ_BENCH_SAMPLES`, `OOCQ_BENCH_MIN_SAMPLE_MS`, `OOCQ_BENCH_QUICK`.
 
 use oocq_bench::{Harness, Stats};
-use oocq_core::{
-    contains_terminal_full_with, contains_terminal_with, BranchStats, Engine, EngineConfig,
-    SearchOrder,
-};
+use oocq_core::{BranchStats, Engine, EngineConfig, SearchOrder};
 use oocq_query::{Query, QueryBuilder};
 use oocq_schema::{AttrType, Schema, SchemaBuilder};
 
@@ -208,10 +205,10 @@ fn main() {
         assert!(holds_p && holds_b, "collapse_pin: verdicts must hold");
         assert_eq!(sp.branches_planned, sb.branches_planned);
         let pruned = h.run("bench_prune", "collapse_pin_f10/pruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, pruned_cfg.clone(), false).0
         });
         let baseline = h.run("bench_prune", "collapse_pin_f10/unpruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &baseline_cfg).unwrap()
+            probe(&schema, &q1, &q2, baseline_cfg.clone(), false).0
         });
         entries.push(Entry {
             name: "collapse_pin_f10".into(),
@@ -234,10 +231,10 @@ fn main() {
         assert!(holds_p && holds_b, "corollary_gap: verdicts must hold");
         assert_eq!(sp.branches_planned, sb.branches_planned);
         let pruned = h.run("bench_prune", "corollary_gap_m1_f5/pruned", || {
-            contains_terminal_full_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, pruned_cfg.clone(), true).0
         });
         let baseline = h.run("bench_prune", "corollary_gap_m1_f5/unpruned", || {
-            contains_terminal_full_with(&schema, &q1, &q2, &baseline_cfg).unwrap()
+            probe(&schema, &q1, &q2, baseline_cfg.clone(), true).0
         });
         entries.push(Entry {
             name: "corollary_gap_m1_f5".into(),
@@ -259,10 +256,10 @@ fn main() {
         assert!(holds_p && holds_b, "adversarial: verdicts must hold");
         assert_eq!(sp.branches_planned, sb.branches_planned);
         let pruned = h.run("bench_prune", "adversarial_f12/pruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, pruned_cfg.clone(), false).0
         });
         let baseline = h.run("bench_prune", "adversarial_f12/unpruned", || {
-            contains_terminal_with(&schema, &q1, &q2, &baseline_cfg).unwrap()
+            probe(&schema, &q1, &q2, baseline_cfg.clone(), false).0
         });
         entries.push(Entry {
             name: "adversarial_f12".into(),
@@ -285,10 +282,10 @@ fn main() {
         let (holds_b, sb) = probe(&schema, &q1, &q2, static_cfg.clone(), false);
         assert!(holds_p && holds_b, "mcf_chain: verdicts must hold");
         let pruned = h.run("bench_prune", "mcf_chain_l8/most_constrained", || {
-            contains_terminal_with(&schema, &q1, &q2, &pruned_cfg).unwrap()
+            probe(&schema, &q1, &q2, pruned_cfg.clone(), false).0
         });
         let baseline = h.run("bench_prune", "mcf_chain_l8/static_order", || {
-            contains_terminal_with(&schema, &q1, &q2, &static_cfg).unwrap()
+            probe(&schema, &q1, &q2, static_cfg.clone(), false).0
         });
         entries.push(Entry {
             name: "mcf_chain_l8".into(),

@@ -15,16 +15,17 @@
 //! [`contains_terminal_full`] forces the full Theorem 3.1 enumeration (used
 //! by the benchmarks to measure what the corollaries save).
 //!
-//! Branch enumeration and scheduling live in [`crate::branch`]: the
-//! functions here build a [`BranchPlan`] and run it under an
-//! [`EngineConfig`] — either the caller's (the `*_with` variants) or the
-//! environment's ([`EngineConfig::from_env`], honouring `OOCQ_THREADS`).
+//! Branch enumeration and scheduling live in [`crate::branch`]; the
+//! decision chain (theory, satisfiability screens, [`decide_sides`]) lives
+//! on [`Engine`]. The free functions here are one-shot conveniences: each
+//! prepares its operands and decides through [`Engine::from_env`]
+//! (honouring `OOCQ_THREADS`).
 
-use crate::branch::{par_prefix, BranchBase, BranchPlan, EngineConfig};
+use crate::branch::{BranchPlan, EngineConfig};
+use crate::engine::{one_shot, BranchSide, Engine, PreparedSchema};
 use crate::error::CoreError;
 use crate::explain::Containment;
-use crate::satisfiability::{self, strip_non_range, var_classes, Satisfiability};
-use oocq_query::{Query, QueryAnalysis, UnionQuery};
+use oocq_query::{Query, UnionQuery};
 use oocq_schema::Schema;
 
 /// Which containment condition applies, by the atom content of the
@@ -55,7 +56,8 @@ pub fn strategy_for(q2: &Query) -> Strategy {
 }
 
 /// Decide `q1 ⊆ q2` for terminal conjunctive queries, choosing the cheapest
-/// applicable condition among Theorem 3.1 and Corollaries 3.2–3.4.
+/// applicable condition among Theorem 3.1 and Corollaries 3.2–3.4
+/// ([`Engine::contains`]).
 ///
 /// An unsatisfiable `q1` is contained in everything; a satisfiable `q1` is
 /// never contained in an unsatisfiable `q2`.
@@ -88,174 +90,49 @@ pub fn strategy_for(q2: &Query) -> Strategy {
 /// assert!(!contains_terminal(&s, &two, &three).unwrap());
 /// ```
 pub fn contains_terminal(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    contains_terminal_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`contains_terminal`] under an explicit [`EngineConfig`]. Consults (and
-/// feeds) `cfg.cache` when one is installed; the cached value is the same
-/// boolean the engine computes, so the cache is observationally invisible.
-pub fn contains_terminal_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if let Some(cache) = cfg.decision_cache() {
-        if let Some(hit) = cache.get_contains(schema, q1, q2) {
-            return Ok(hit);
-        }
-    }
-    let holds = decide_with(schema, q1, q2, strategy_for(q2), cfg, false)?.holds();
-    if let Some(cache) = cfg.decision_cache() {
-        cache.put_contains(schema, q1, q2, holds);
-    }
-    Ok(holds)
+    let (engine, [p1, p2]) = one_shot(schema, [q1, q2]);
+    engine.contains(&p1, &p2)
 }
 
 /// Decide `q1 ⊆ q2` and return the full certificate: witness mappings for
 /// every consistent augmentation branch on success, the failing branch on
-/// refusal. See [`Containment`].
+/// refusal ([`Engine::decide`]). See [`Containment`].
 pub fn decide_containment(
     schema: &Schema,
     q1: &Query,
     q2: &Query,
 ) -> Result<Containment, CoreError> {
-    decide_containment_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`decide_containment`] under an explicit [`EngineConfig`]. The
-/// certificate is independent of the configuration: parallel runs report
-/// the same witnesses in the same order, and the same failing branch, as
-/// [`EngineConfig::serial`].
-pub fn decide_containment_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<Containment, CoreError> {
-    decide_with(schema, q1, q2, strategy_for(q2), cfg, true)
+    let (engine, [p1, p2]) = one_shot(schema, [q1, q2]);
+    engine.decide(&p1, &p2)
 }
 
 /// Decide `q1 ⊆ q2` using the full Theorem 3.1 enumeration regardless of
-/// `q2`'s shape (sound for every terminal `q2`; used to benchmark the
-/// corollaries' savings).
+/// `q2`'s shape ([`Engine::contains_full`]).
 pub fn contains_terminal_full(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    contains_terminal_full_with(schema, q1, q2, &EngineConfig::from_env())
+    let (engine, [p1, p2]) = one_shot(schema, [q1, q2]);
+    engine.contains_full(&p1, &p2)
 }
 
-/// [`contains_terminal_full`] under an explicit [`EngineConfig`].
-pub fn contains_terminal_full_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    Ok(decide_with(schema, q1, q2, Strategy::Full, cfg, false)?.holds())
-}
-
-/// `q1 ≡ q2` for terminal conjunctive queries.
+/// `q1 ≡ q2` for terminal conjunctive queries ([`Engine::equivalent`]).
 pub fn equivalent_terminal(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    equivalent_terminal_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`equivalent_terminal`] under an explicit [`EngineConfig`]. With
-/// `cfg.iso_fast_path` (the default), structurally isomorphic queries are
-/// recognized as equivalent without running Theorem 3.1 at all — a variable
-/// renaming preserves the answer set, so isomorphic queries are equivalent
-/// over every schema.
-pub fn equivalent_terminal_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if cfg.iso_fast_path && oocq_query::isomorphic(q1, q2) {
-        return Ok(true);
-    }
-    Ok(
-        contains_terminal_with(schema, q1, q2, cfg)?
-            && contains_terminal_with(schema, q2, q1, cfg)?,
-    )
-}
-
-fn is_sat(schema: &Schema, q: &Query) -> Result<bool, CoreError> {
-    let classes = var_classes(schema, q)?;
-    let analysis = QueryAnalysis::of(q);
-    Ok(matches!(
-        satisfiability::check(schema, q, &classes, &analysis),
-        Satisfiability::Satisfiable
-    ))
-}
-
-fn decide_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    strategy: Strategy,
-    cfg: &EngineConfig,
-    collect: bool,
-) -> Result<Containment, CoreError> {
-    if let Some(theory) = crate::theory::active_theory(cfg, schema) {
-        return crate::theory::decide_pair_with_theory(
-            theory.as_ref(),
-            schema,
-            q1,
-            q2,
-            strategy,
-            cfg,
-            collect,
-        );
-    }
-    decide_plain(schema, q1, q2, strategy, cfg, collect)
-}
-
-/// The theory-free terminal decision: satisfiability screens on both
-/// sides, then the Theorem 3.1 branch enumeration. This is the body every
-/// decision ran through before theories existed; [`decide_with`] still
-/// bottoms out here (directly, or per compiled branch via
-/// [`crate::theory::decide_pair_with_theory`]).
-pub(crate) fn decide_plain(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    strategy: Strategy,
-    cfg: &EngineConfig,
-    collect: bool,
-) -> Result<Containment, CoreError> {
-    if let Satisfiability::Unsatisfiable(reason) = satisfiability::satisfiability(schema, q1)? {
-        return Ok(Containment::HoldsVacuously(reason));
-    }
-    if let Satisfiability::Unsatisfiable(reason) = satisfiability::satisfiability(schema, q2)? {
-        return Ok(Containment::FailsRightUnsatisfiable(reason));
-    }
-    let q1 = strip_non_range(q1);
-    let q2 = strip_non_range(q2);
-    let classes1 = var_classes(schema, &q1)?;
-    let classes2 = var_classes(schema, &q2)?;
-    let base1 = BranchBase::build(&q1, &classes1);
-    decide_sides(
-        schema, &q1, &classes1, &base1, &q2, &classes2, strategy, cfg, collect,
-    )
+    let (engine, [p1, p2]) = one_shot(schema, [q1, q2]);
+    engine.equivalent(&p1, &p2)
 }
 
 /// Run the Theorem 3.1 branch enumeration over pre-derived sides: both
 /// queries stripped and known satisfiable, terminal classes resolved, and
-/// the left side's shared branch state ([`BranchBase`]) already built —
-/// either just above ([`decide_with`]) or memoized on a
-/// [`PreparedQuery`](crate::PreparedQuery). This is the single implementation
-/// both the free functions and the [`Engine`](crate::Engine) bottom out in.
-#[allow(clippy::too_many_arguments)]
+/// the left side's shared branch state ([`BranchBase`](crate::branch))
+/// memoized on its [`PreparedQuery`](crate::PreparedQuery). The last step of
+/// the engine's terminal decision chain.
 pub(crate) fn decide_sides(
     schema: &Schema,
-    q1: &Query,
-    classes1: &[oocq_schema::ClassId],
-    base1: &BranchBase,
-    q2: &Query,
-    classes2: &[oocq_schema::ClassId],
+    left: &BranchSide,
+    right: &BranchSide,
     strategy: Strategy,
     cfg: &EngineConfig,
     collect: bool,
 ) -> Result<Containment, CoreError> {
+    let (q1, classes1, base1) = (&left.stripped, &left.classes[..], &left.base);
     let mut enum_s = matches!(
         strategy,
         Strategy::Full | Strategy::PositiveWithInequalities
@@ -294,83 +171,14 @@ pub(crate) fn decide_sides(
     }
 
     let plan = BranchPlan::build(schema, q1, classes1, base1, enum_s, enum_w, &cfg.budget)?;
-    plan.run(q2, classes2, cfg, collect)
+    plan.run(&right.stripped, &right.classes, cfg, collect)
 }
 
 /// Theorem 4.1: containment of unions of terminal **positive** conjunctive
 /// queries is pairwise: `M ⊆ N` iff every satisfiable `Qᵢ` of `M` is
-/// contained in some `Pⱼ` of `N`.
+/// contained in some `Pⱼ` of `N` ([`Engine::union_contains`]).
 pub fn union_contains(schema: &Schema, m: &UnionQuery, n: &UnionQuery) -> Result<bool, CoreError> {
-    union_contains_with(schema, m, n, &EngineConfig::from_env())
-}
-
-/// [`union_contains`] under an explicit [`EngineConfig`]. With
-/// `cfg.threads > 1` the per-`Qᵢ` checks of Theorem 4.1 fan out across the
-/// worker pool (each inner containment then runs serially — the queries are
-/// positive, so each is a single branch anyway).
-pub fn union_contains_with(
-    schema: &Schema,
-    m: &UnionQuery,
-    n: &UnionQuery,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    union_contains_inner(schema, m, n, cfg, false)
-}
-
-/// [`union_contains_with`] with the per-subquery vacuity check optionally
-/// skipped: `presatisfied` asserts every subquery of `m` is already known
-/// satisfiable (true of satisfiability-filtered expansions), in which case
-/// the Theorem 4.1 sweep goes straight to the pairwise checks.
-pub(crate) fn union_contains_inner(
-    schema: &Schema,
-    m: &UnionQuery,
-    n: &UnionQuery,
-    cfg: &EngineConfig,
-    presatisfied: bool,
-) -> Result<bool, CoreError> {
-    for q in m {
-        if !q.is_positive() {
-            return Err(CoreError::NotPositive);
-        }
-    }
-    for p in n {
-        if !p.is_positive() {
-            return Err(CoreError::NotPositive);
-        }
-    }
-    let queries: Vec<&Query> = m.iter().collect();
-    let parallel = cfg.threads > 1 && queries.len() >= 2;
-    let inner = if parallel {
-        cfg.serial_inner()
-    } else {
-        cfg.clone()
-    };
-    // Is Qᵢ covered — unsatisfiable, or contained in some Pⱼ?
-    let covered = |i: usize| -> Result<bool, CoreError> {
-        cfg.budget.charge(1)?;
-        let q = queries[i];
-        if !presatisfied && !is_sat(schema, q)? {
-            return Ok(true); // unsatisfiable subquery contributes nothing
-        }
-        for p in n {
-            if contains_terminal_with(schema, q, p, &inner)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    };
-    let results = par_prefix(
-        queries.len(),
-        if parallel { cfg.threads } else { 1 },
-        covered,
-        |r| !matches!(r, Ok(true)),
-    );
-    for (_, r) in results {
-        if !r? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    Engine::from_env().union_contains(&PreparedSchema::new(schema), m, n)
 }
 
 /// `M ≡ N` for unions of terminal positive conjunctive queries.
@@ -379,89 +187,37 @@ pub fn union_equivalent(
     m: &UnionQuery,
     n: &UnionQuery,
 ) -> Result<bool, CoreError> {
-    Ok(union_contains(schema, m, n)? && union_contains(schema, n, m)?)
+    let (engine, ps) = (Engine::from_env(), PreparedSchema::new(schema));
+    Ok(engine.union_contains(&ps, m, n)? && engine.union_contains(&ps, n, m)?)
 }
 
 /// Containment of arbitrary (not necessarily terminal) **positive**
 /// conjunctive queries: normalize, expand to terminal unions
-/// (Proposition 2.1), then apply Theorem 4.1.
+/// (Proposition 2.1), then apply Theorem 4.1 ([`Engine::contains_positive`]).
 pub fn contains_positive(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    contains_positive_with(schema, q1, q2, &EngineConfig::from_env())
-}
-
-/// [`contains_positive`] under an explicit [`EngineConfig`] (governing both
-/// the expansion filter and the pairwise union checks).
-pub fn contains_positive_with(
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if !q1.is_positive() || !q2.is_positive() {
-        return Err(CoreError::NotPositive);
-    }
-    if let Some(cache) = cfg.decision_cache() {
-        if let Some(hit) = cache.get_contains(schema, q1, q2) {
-            return Ok(hit);
-        }
-    }
-    let n1 = oocq_query::normalize(q1, schema)?;
-    let n2 = oocq_query::normalize(q2, schema)?;
-    let u1 = crate::expand::expand_satisfiable_with(schema, &n1, cfg)?;
-    let u2 = crate::expand::expand_satisfiable_with(schema, &n2, cfg)?;
-    let holds = union_contains_with(schema, &u1, &u2, cfg)?;
-    if let Some(cache) = cfg.decision_cache() {
-        cache.put_contains(schema, q1, q2, holds);
-    }
-    Ok(holds)
+    let (engine, [p1, p2]) = one_shot(schema, [q1, q2]);
+    engine.contains_positive(&p1, &p2)
 }
 
 /// `q1 ≡ q2` for positive conjunctive queries.
 pub fn equivalent_positive(schema: &Schema, q1: &Query, q2: &Query) -> Result<bool, CoreError> {
-    Ok(contains_positive(schema, q1, q2)? && contains_positive(schema, q2, q1)?)
+    let (engine, [p1, p2]) = one_shot(schema, [q1, q2]);
+    engine.equivalent_positive(&p1, &p2)
 }
 
 /// Containment dispatch across query shapes: §3 for terminal pairs, §4 for
-/// positive pairs, left-expansion against a terminal right side. Shapes
-/// outside the fragment the paper proves decidable are rejected with
-/// [`CoreError::NotPositive`].
+/// positive pairs, left-expansion against a terminal right side
+/// ([`Engine::dispatch`]). Shapes outside the fragment the paper proves
+/// decidable are rejected with [`CoreError::NotPositive`].
 pub fn dispatch_containment(schema: &Schema, qa: &Query, qb: &Query) -> Result<bool, CoreError> {
-    dispatch_containment_with(schema, qa, qb, &EngineConfig::from_env())
-}
-
-/// [`dispatch_containment`] under an explicit [`EngineConfig`].
-pub fn dispatch_containment_with(
-    schema: &Schema,
-    qa: &Query,
-    qb: &Query,
-    cfg: &EngineConfig,
-) -> Result<bool, CoreError> {
-    if qa.is_terminal(schema) && qb.is_terminal(schema) {
-        return contains_terminal_with(schema, qa, qb, cfg);
-    }
-    if qa.is_positive() && qb.is_positive() {
-        return contains_positive_with(schema, qa, qb, cfg);
-    }
-    if qb.is_terminal(schema) {
-        let ua = crate::expand::expand_satisfiable_with(
-            schema,
-            &oocq_query::normalize(qa, schema)?,
-            cfg,
-        )?;
-        for sub in &ua {
-            if !contains_terminal_with(schema, sub, qb, cfg)? {
-                return Ok(false);
-            }
-        }
-        return Ok(true);
-    }
-    // Outside the decidable fragment the paper establishes.
-    Err(CoreError::NotPositive)
+    let (engine, [pa, pb]) = one_shot(schema, [qa, qb]);
+    engine.dispatch(&pa, &pb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::on_engine;
     use oocq_query::QueryBuilder;
     use oocq_schema::samples;
     use std::time::Duration;
@@ -659,8 +415,8 @@ mod tests {
         let (q1, q2) = example_32_query(&s, false);
         let (q3, _) = example_32_query(&s, true);
         for (a, b) in [(&q1, &q2), (&q2, &q1), (&q1, &q3), (&q3, &q1)] {
-            let serial = decide_containment_with(&s, a, b, &ser).unwrap();
-            let parallel = decide_containment_with(&s, a, b, &par).unwrap();
+            let serial = on_engine(&s, &ser, a, b, Engine::decide).unwrap();
+            let parallel = on_engine(&s, &par, a, b, Engine::decide).unwrap();
             assert_eq!(serial, parallel);
         }
     }
@@ -783,7 +539,7 @@ mod tests {
         assert_eq!(strategy_for(&q2), Strategy::InequalityFree);
         let tiny = EngineConfig::serial().with_budget(crate::Budget::with_limit(100));
         assert!(matches!(
-            contains_terminal_with(&s, &q1, &q2, &tiny),
+            on_engine(&s, &tiny, &q1, &q2, Engine::contains),
             Err(CoreError::Timeout {
                 deadline: false,
                 ..
@@ -792,7 +548,7 @@ mod tests {
         // The trip is scoped to that budget: a fresh config decides fine —
         // and the containment genuinely holds, so the full 2^12 walk was
         // the only way there.
-        assert!(contains_terminal_with(&s, &q1, &q2, &EngineConfig::serial()).unwrap());
+        assert!(on_engine(&s, &EngineConfig::serial(), &q1, &q2, Engine::contains).unwrap());
     }
 
     #[test]
@@ -805,20 +561,37 @@ mod tests {
             ..EngineConfig::serial().with_budget(budget)
         };
         assert!(matches!(
-            contains_terminal_with(&s, &q1, &q2, &par(crate::Budget::with_limit(100))),
+            on_engine(
+                &s,
+                &par(crate::Budget::with_limit(100)),
+                &q1,
+                &q2,
+                Engine::contains
+            ),
             Err(CoreError::Timeout {
                 deadline: false,
                 ..
             })
         ));
         // A generous budget changes nothing about the decision.
-        assert!(
-            contains_terminal_with(&s, &q1, &q2, &par(crate::Budget::with_limit(1 << 20))).unwrap()
-        );
+        assert!(on_engine(
+            &s,
+            &par(crate::Budget::with_limit(1 << 20)),
+            &q1,
+            &q2,
+            Engine::contains
+        )
+        .unwrap());
         // Reversed, containment fails at an early branch: the refutation is
         // conclusive, so even a tight budget may return it — and whichever
         // of `Fails`/`Timeout` wins the race, it must never claim `Holds`.
-        match contains_terminal_with(&s, &q2, &q1, &par(crate::Budget::with_limit(100))) {
+        match on_engine(
+            &s,
+            &par(crate::Budget::with_limit(100)),
+            &q2,
+            &q1,
+            Engine::contains,
+        ) {
             Ok(holds) => assert!(!holds),
             Err(e) => assert!(matches!(e, CoreError::Timeout { .. }), "{e:?}"),
         }
@@ -830,7 +603,7 @@ mod tests {
         let (q1, q2) = explosion_pair(&s, 12);
         let cfg = EngineConfig::serial().with_budget(crate::Budget::with_deadline(Duration::ZERO));
         assert!(matches!(
-            contains_terminal_with(&s, &q1, &q2, &cfg),
+            on_engine(&s, &cfg, &q1, &q2, Engine::contains),
             Err(CoreError::Timeout { deadline: true, .. })
         ));
     }
@@ -888,6 +661,7 @@ mod tests {
 
         let on = EngineConfig::serial();
         let off = EngineConfig::serial().without_iso_fast_path();
+        let equivalent = |x, y, cfg| on_engine(&s, cfg, x, y, Engine::equivalent).unwrap();
         for (x, y) in [
             (&q1, &q1_renamed),
             (&q1, &q2),
@@ -895,14 +669,11 @@ mod tests {
             (&q1, &q3),
             (&q3, &q1),
         ] {
-            assert_eq!(
-                equivalent_terminal_with(&s, x, y, &on).unwrap(),
-                equivalent_terminal_with(&s, x, y, &off).unwrap(),
-            );
+            assert_eq!(equivalent(x, y, &on), equivalent(x, y, &off));
         }
         // q1 ≡ q2 holds despite non-isomorphism; q1 ≢ q3.
-        assert!(equivalent_terminal_with(&s, &q1, &q2, &on).unwrap());
-        assert!(!equivalent_terminal_with(&s, &q1, &q3, &on).unwrap());
+        assert!(equivalent(&q1, &q2, &on));
+        assert!(!equivalent(&q1, &q3, &on));
     }
 
     /// A fake cache that counts traffic and remembers puts verbatim —
@@ -968,13 +739,13 @@ mod tests {
         let cached = EngineConfig::serial().with_cache(cache.clone());
         let plain = EngineConfig::serial();
 
-        let cold = contains_terminal_with(&s, &q1, &q2, &cached).unwrap();
+        let cold = on_engine(&s, &cached, &q1, &q2, Engine::contains).unwrap();
         assert_eq!(cache.hits.load(Relaxed), 0);
         assert_eq!(cache.puts.load(Relaxed), 1);
-        let warm = contains_terminal_with(&s, &q1, &q2, &cached).unwrap();
+        let warm = on_engine(&s, &cached, &q1, &q2, Engine::contains).unwrap();
         assert_eq!(cache.hits.load(Relaxed), 1);
         assert_eq!(cache.puts.load(Relaxed), 1, "hits are not re-put");
-        let uncached = contains_terminal_with(&s, &q1, &q2, &plain).unwrap();
+        let uncached = on_engine(&s, &plain, &q1, &q2, Engine::contains).unwrap();
         assert_eq!(cold, warm);
         assert_eq!(cold, uncached, "cache-on equals cache-off");
     }

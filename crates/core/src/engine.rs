@@ -15,10 +15,11 @@
 //! [`OnceLock`] (an artifact a workload never touches is never built), and
 //! an [`Engine`] owns the [`EngineConfig`] (threads, decision cache,
 //! isomorphism fast path) and exposes the decision procedures as inherent
-//! methods over prepared values. The free `*_with` functions remain as
-//! convenience wrappers that prepare internally per call; both layers share
-//! one implementation, so verdicts are identical by construction (the
-//! differential seed-sweep in `tests/properties.rs` checks this).
+//! methods over prepared values. The engine is the only decision path: the
+//! crate's free functions prepare their operands per call and delegate
+//! here, and transient queries (expansion branches, union subqueries,
+//! theory-compiled left sides) are prepared against their schema and sent
+//! through the same methods.
 //!
 //! What is derived when:
 //!
@@ -37,16 +38,17 @@
 //! enforces it structurally, and [`PreparedQuery::stats`] exposes build
 //! counters so tests can assert it observationally.
 
-use crate::branch::{BranchBase, BranchStats, EngineConfig};
+use crate::branch::{par_prefix, BranchBase, BranchStats, EngineConfig};
 use crate::budget::Budget;
-use crate::containment::{decide_sides, strategy_for, union_contains_inner, Strategy};
+use crate::containment::{decide_sides, strategy_for, Strategy};
 use crate::error::CoreError;
 use crate::explain::Containment;
-use crate::minimize::minimize_pipeline;
+use crate::minimize::{minimize_pipeline, redundancy_flags};
 use crate::satisfiability::{self, strip_non_range, var_classes, Satisfiability};
 use oocq_query::{canonical_form_budgeted, CanonicalQuery, Query, QueryAnalysis, UnionQuery};
 use oocq_schema::{ClassId, Schema};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -385,10 +387,9 @@ impl PreparedQuery {
                 self.inner.builds.expansion.fetch_add(1, Ordering::Relaxed);
                 let analysis = self.analysis();
                 crate::expand::expand_satisfiable_inner(
-                    self.inner.schema.schema(),
+                    &self.inner.schema,
                     &self.inner.query,
                     cfg,
-                    Some(&self.inner.schema),
                     analysis,
                 )
             })
@@ -411,10 +412,9 @@ impl PreparedQuery {
                 let normalized = oocq_query::normalize(&self.inner.query, schema)?;
                 let analysis = QueryAnalysis::of(&normalized);
                 crate::expand::expand_satisfiable_inner(
-                    schema,
+                    &self.inner.schema,
                     &normalized,
                     cfg,
-                    Some(&self.inner.schema),
                     &analysis,
                 )
             })
@@ -436,11 +436,12 @@ impl std::fmt::Debug for PreparedQuery {
 /// optional [`DecisionCache`](crate::DecisionCache), isomorphism fast path)
 /// plus the §3/§4 procedures as inherent methods over prepared values.
 ///
-/// Contract: every method decides exactly what the corresponding free
-/// function decides — the prepared layer changes *when artifacts are built*,
-/// never *what is decided* — and both prepared queries must have been
-/// prepared against the schema the decision should run under (the left
-/// operand's schema is used).
+/// This is the crate's one decision path: the free functions
+/// ([`contains_terminal`](crate::contains_terminal),
+/// [`minimize_positive`](crate::minimize_positive), …) prepare their
+/// operands and call these methods under [`EngineConfig::from_env`]. Both
+/// prepared queries must have been prepared against the schema the decision
+/// should run under (the left operand's schema is used).
 #[derive(Debug, Default)]
 pub struct Engine {
     cfg: EngineConfig,
@@ -496,78 +497,95 @@ impl Engine {
     }
 
     /// Decide `p1 ⊆ p2` for terminal conjunctive queries with the full
-    /// certificate (never cached — witness text is cheap to recompute
-    /// relative to its size).
+    /// certificate: witness mappings for every consistent augmentation
+    /// branch on success, the failing branch on refusal (never cached —
+    /// witness text is cheap to recompute relative to its size). The
+    /// certificate is independent of the thread configuration.
     pub fn decide(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Result<Containment, CoreError> {
-        self.decide_strategy(p1, p2, strategy_for(p2.query()), true)
+        self.decide_terminal(p1, p2, strategy_for(p2.query()), true)
     }
 
-    fn decide_strategy(
+    /// The terminal decision chain every containment question bottoms out
+    /// in: theory compilation when a theory is active, the satisfiability
+    /// screens of both sides, then the Theorem 3.1 branch walk over the
+    /// memoized branch sides. Under a theory each live branch of the
+    /// compiled left query runs the same screens and walk.
+    fn decide_terminal(
         &self,
         p1: &PreparedQuery,
         p2: &PreparedQuery,
         strategy: Strategy,
         collect: bool,
     ) -> Result<Containment, CoreError> {
-        if let Some(theory) = crate::theory::active_theory(&self.cfg, p1.schema().schema()) {
-            return crate::theory::decide_pair_with_theory(
-                theory.as_ref(),
-                p1.schema().schema(),
-                p1.query(),
-                p2.query(),
-                strategy,
-                &self.cfg,
-                collect,
-            );
+        let schema = p1.schema().schema();
+        let plain = |left: &PreparedQuery| -> Result<Containment, CoreError> {
+            if let Satisfiability::Unsatisfiable(reason) = left.satisfiability()? {
+                return Ok(Containment::HoldsVacuously(reason));
+            }
+            if let Satisfiability::Unsatisfiable(reason) = p2.satisfiability()? {
+                return Ok(Containment::FailsRightUnsatisfiable(reason));
+            }
+            let (l, r) = (left.branch_side()?, p2.branch_side()?);
+            decide_sides(schema, l, r, strategy, &self.cfg, collect)
+        };
+        let Some(theory) = crate::theory::active_theory(&self.cfg, schema) else {
+            return plain(p1);
+        };
+        let branches = match crate::theory::compile_pair(theory.as_ref(), p1, p2, &self.cfg)? {
+            ControlFlow::Break(verdict) => return Ok(verdict),
+            ControlFlow::Continue(branches) => branches,
+        };
+        let mut witnesses = Vec::new();
+        for b in &branches {
+            match plain(b)? {
+                Containment::HoldsVacuously(_) => {} // branch contributes nothing
+                Containment::Holds(ws) => witnesses.extend(ws),
+                fails => return Ok(fails),
+            }
         }
-        if let Satisfiability::Unsatisfiable(reason) = p1.satisfiability()? {
-            return Ok(Containment::HoldsVacuously(reason));
-        }
-        if let Satisfiability::Unsatisfiable(reason) = p2.satisfiability()? {
-            return Ok(Containment::FailsRightUnsatisfiable(reason));
-        }
-        let left = p1.branch_side()?;
-        let right = p2.branch_side()?;
-        decide_sides(
-            p1.schema().schema(),
-            &left.stripped,
-            &left.classes,
-            &left.base,
-            &right.stripped,
-            &right.classes,
-            strategy,
-            &self.cfg,
-            collect,
-        )
+        Ok(Containment::Holds(witnesses))
     }
 
     /// `p1 ⊆ p2` for terminal conjunctive queries (Theorem 3.1 /
     /// Corollaries 3.2–3.4), consulting and feeding the engine's decision
     /// cache through the prepared canonical forms.
     pub fn contains(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Result<bool, CoreError> {
-        if let Some(cache) = self.cfg.decision_cache() {
-            // Canonical cache keys are derived here, under the request
-            // budget, so a factorial-regime labeling times out recoverably
-            // instead of hanging inside the cache lookup.
-            p1.try_canonical_form(&self.cfg.budget)?;
-            p2.try_canonical_form(&self.cfg.budget)?;
-            if let Some(hit) = cache.get_contains_prepared(p1, p2) {
-                return Ok(hit);
-            }
+        self.cached_contains(p1, p2, || {
+            Ok(self
+                .decide_terminal(p1, p2, strategy_for(p2.query()), false)?
+                .holds())
+        })
+    }
+
+    /// Answer `p1 ⊆ p2` from the decision cache, or compute it with
+    /// `decide` and record the result.
+    fn cached_contains(
+        &self,
+        p1: &PreparedQuery,
+        p2: &PreparedQuery,
+        decide: impl FnOnce() -> Result<bool, CoreError>,
+    ) -> Result<bool, CoreError> {
+        let Some(cache) = self.cfg.decision_cache() else {
+            return decide();
+        };
+        // Canonical cache keys are derived here, under the request budget,
+        // so a factorial-regime labeling times out recoverably instead of
+        // hanging inside the cache lookup.
+        p1.try_canonical_form(&self.cfg.budget)?;
+        p2.try_canonical_form(&self.cfg.budget)?;
+        if let Some(hit) = cache.get_contains_prepared(p1, p2) {
+            return Ok(hit);
         }
-        let holds = self
-            .decide_strategy(p1, p2, strategy_for(p2.query()), false)?
-            .holds();
-        if let Some(cache) = self.cfg.decision_cache() {
-            cache.put_contains_prepared(p1, p2, holds);
-        }
+        let holds = decide()?;
+        cache.put_contains_prepared(p1, p2, holds);
         Ok(holds)
     }
 
     /// `p1 ⊆ p2` using the full Theorem 3.1 enumeration regardless of
-    /// `p2`'s shape.
+    /// `p2`'s shape (sound for every terminal `p2`; used to measure what
+    /// the corollaries save).
     pub fn contains_full(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Result<bool, CoreError> {
-        Ok(self.decide_strategy(p1, p2, Strategy::Full, false)?.holds())
+        Ok(self.decide_terminal(p1, p2, Strategy::Full, false)?.holds())
     }
 
     /// `p1 ≡ p2` for terminal conjunctive queries. With the isomorphism
@@ -584,6 +602,59 @@ impl Engine {
         Ok(self.contains(p1, p2)? && self.contains(p2, p1)?)
     }
 
+    /// Theorem 4.1: containment of unions of terminal **positive**
+    /// conjunctive queries is pairwise — `m ⊆ n` iff every satisfiable
+    /// `Qᵢ` of `m` is contained in some `Pⱼ` of `n`. Each subquery is
+    /// prepared against `schema` once. With `threads > 1` the per-`Qᵢ`
+    /// checks fan out across the worker pool, each running serially.
+    pub fn union_contains(
+        &self,
+        schema: &PreparedSchema,
+        m: &UnionQuery,
+        n: &UnionQuery,
+    ) -> Result<bool, CoreError> {
+        if m.iter().chain(n).any(|q| !q.is_positive()) {
+            return Err(CoreError::NotPositive);
+        }
+        let prepare = |u: &UnionQuery| -> Vec<PreparedQuery> {
+            u.iter().map(|q| self.prepare(schema, q)).collect()
+        };
+        let (left, right) = (prepare(m), prepare(n));
+        let parallel = self.cfg.threads > 1 && left.len() >= 2;
+        let serial_engine;
+        let inner = if parallel {
+            serial_engine = Engine::new(self.cfg.serial_inner());
+            &serial_engine
+        } else {
+            self
+        };
+        // Is Qᵢ covered — unsatisfiable, or contained in some Pⱼ?
+        let covered = |i: usize| -> Result<bool, CoreError> {
+            self.cfg.budget.charge(1)?;
+            if !left[i].is_satisfiable()? {
+                return Ok(true); // unsatisfiable subquery contributes nothing
+            }
+            for p in &right {
+                if inner.contains(&left[i], p)? {
+                    return Ok(true);
+                }
+            }
+            Ok(false)
+        };
+        let results = par_prefix(
+            left.len(),
+            if parallel { self.cfg.threads } else { 1 },
+            covered,
+            |r| !matches!(r, Ok(true)),
+        );
+        for (_, r) in results {
+            if !r? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// `p1 ⊆ p2` for positive (not necessarily terminal) conjunctive
     /// queries: normalize, expand to satisfiable terminal unions
     /// (memoized on each handle), then Theorem 4.1 pairwise.
@@ -595,22 +666,11 @@ impl Engine {
         if !p1.query().is_positive() || !p2.query().is_positive() {
             return Err(CoreError::NotPositive);
         }
-        if let Some(cache) = self.cfg.decision_cache() {
-            p1.try_canonical_form(&self.cfg.budget)?;
-            p2.try_canonical_form(&self.cfg.budget)?;
-            if let Some(hit) = cache.get_contains_prepared(p1, p2) {
-                return Ok(hit);
-            }
-        }
-        let u1 = p1.normalized_expansion(&self.cfg)?;
-        let u2 = p2.normalized_expansion(&self.cfg)?;
-        // The expansions are already satisfiability-filtered, so the
-        // Theorem 4.1 sweep can skip its per-subquery vacuity check.
-        let holds = union_contains_inner(p1.schema().schema(), u1, u2, &self.cfg, true)?;
-        if let Some(cache) = self.cfg.decision_cache() {
-            cache.put_contains_prepared(p1, p2, holds);
-        }
-        Ok(holds)
+        self.cached_contains(p1, p2, || {
+            let u1 = p1.normalized_expansion(&self.cfg)?;
+            let u2 = p2.normalized_expansion(&self.cfg)?;
+            self.union_contains(p1.schema(), u1, u2)
+        })
     }
 
     /// `p1 ≡ p2` for positive conjunctive queries.
@@ -635,9 +695,8 @@ impl Engine {
             return self.contains_positive(p1, p2);
         }
         if p2.query().is_terminal(schema) {
-            let ua = p1.normalized_expansion(&self.cfg)?;
-            for sub in ua {
-                if !self.contains_fresh_left(sub, p2)? {
+            for sub in p1.normalized_expansion(&self.cfg)? {
+                if !self.contains(&self.prepare(p2.schema(), sub), p2)? {
                     return Ok(false);
                 }
             }
@@ -646,63 +705,37 @@ impl Engine {
         Err(CoreError::NotPositive)
     }
 
-    /// `q1 ⊆ p2` where the left side is a transient query (an expansion
-    /// branch) and only the right side is prepared. The right side's
-    /// artifacts come from the memo; the left side's are derived here, once
-    /// per call.
-    fn contains_fresh_left(&self, q1: &Query, p2: &PreparedQuery) -> Result<bool, CoreError> {
-        let schema = p2.schema().schema();
-        if let Some(cache) = self.cfg.decision_cache() {
-            if let Some(hit) = cache.get_contains(schema, q1, p2.query()) {
-                return Ok(hit);
-            }
-        }
-        let holds = 'decide: {
-            if let Some(theory) = crate::theory::active_theory(&self.cfg, schema) {
-                break 'decide crate::theory::decide_pair_with_theory(
-                    theory.as_ref(),
-                    schema,
-                    q1,
-                    p2.query(),
-                    strategy_for(p2.query()),
-                    &self.cfg,
-                    false,
-                )?
-                .holds();
-            }
-            if !satisfiability::satisfiability(schema, q1)?.is_satisfiable() {
-                break 'decide true; // unsatisfiable left: vacuous
-            }
-            if let Satisfiability::Unsatisfiable(_) = p2.satisfiability()? {
-                break 'decide false;
-            }
-            let stripped = strip_non_range(q1);
-            let classes = var_classes(schema, &stripped)?;
-            let base = BranchBase::build(&stripped, &classes);
-            let right = p2.branch_side()?;
-            decide_sides(
-                schema,
-                &stripped,
-                &classes,
-                &base,
-                &right.stripped,
-                &right.classes,
-                strategy_for(p2.query()),
-                &self.cfg,
-                false,
-            )?
-            .holds()
-        };
-        if let Some(cache) = self.cfg.decision_cache() {
-            cache.put_contains(schema, q1, p2.query(), holds);
-        }
-        Ok(holds)
-    }
-
     /// Proposition 2.1 + Theorem 2.2: the satisfiable terminal expansion of
-    /// a prepared query, memoized on the handle.
+    /// a prepared query, with non-range atoms stripped (§2.5), memoized on
+    /// the handle. With `threads > 1` the per-subquery satisfiability
+    /// checks fan out; the survivors keep their expansion order either way.
     pub fn expand_satisfiable(&self, p: &PreparedQuery) -> Result<UnionQuery, CoreError> {
         Ok(p.raw_expansion(&self.cfg)?.clone())
+    }
+
+    /// Remove redundant subqueries from a union of terminal positive
+    /// conjunctive queries: unsatisfiable subqueries are dropped, then any
+    /// `Qᵢ` contained in a retained `Qⱼ` (`j ≠ i`) is dropped, keeping the
+    /// first representative of each equivalence group.
+    pub fn nonredundant_union(
+        &self,
+        schema: &PreparedSchema,
+        u: &UnionQuery,
+    ) -> Result<UnionQuery, CoreError> {
+        let mut sat = Vec::new();
+        for q in u {
+            let p = self.prepare(schema, q);
+            if p.is_satisfiable()? {
+                sat.push(p);
+            }
+        }
+        let dropped = redundancy_flags(self, &sat)?;
+        Ok(sat
+            .iter()
+            .zip(dropped)
+            .filter(|(_, d)| !d)
+            .map(|(p, _)| p.query().clone())
+            .collect())
     }
 
     /// The full §4 pipeline: exact, search-space-optimal minimization of a
@@ -714,14 +747,13 @@ impl Engine {
         if !p.query().is_positive() {
             return Err(CoreError::NotPositive);
         }
-        let schema = p.schema().schema();
         if let Some(cache) = self.cfg.decision_cache() {
             if let Some(hit) = cache.get_minimized_prepared(p) {
                 return Ok(hit);
             }
         }
         let expanded = p.normalized_expansion(&self.cfg)?;
-        let result = minimize_pipeline(schema, expanded, &self.cfg)?;
+        let result = minimize_pipeline(self, p.schema(), expanded)?;
         if let Some(cache) = self.cfg.decision_cache() {
             cache.put_minimized_prepared(p, &result);
         }
@@ -732,8 +764,36 @@ impl Engine {
     /// terminal conjunctive queries (§4 closing remarks), under this
     /// engine's configuration.
     pub fn minimize_general(&self, p: &PreparedQuery) -> Result<UnionQuery, CoreError> {
-        crate::general::minimize_general_with(p.schema().schema(), p.query(), &self.cfg)
+        crate::general::minimize_general_in(self, p.schema(), p.query())
     }
+}
+
+/// Prepare `queries` against a fresh [`PreparedSchema`] for one decision
+/// under [`Engine::from_env`] — the body of every one-shot free function.
+pub(crate) fn one_shot<const N: usize>(
+    schema: &Schema,
+    queries: [&Query; N],
+) -> (Engine, [PreparedQuery; N]) {
+    let ps = PreparedSchema::new(schema);
+    (
+        Engine::from_env(),
+        queries.map(|q| PreparedQuery::new(&ps, q.clone())),
+    )
+}
+
+/// Run `f` on `Engine::new(cfg)` with `q1` and `q2` prepared against
+/// `schema` (unit-test shorthand for one-shot decisions under an explicit
+/// configuration).
+#[cfg(test)]
+pub(crate) fn on_engine<T>(
+    schema: &Schema,
+    cfg: &EngineConfig,
+    q1: &Query,
+    q2: &Query,
+    f: impl FnOnce(&Engine, &PreparedQuery, &PreparedQuery) -> T,
+) -> T {
+    let (engine, ps) = (Engine::new(cfg.clone()), PreparedSchema::new(schema));
+    f(&engine, &engine.prepare(&ps, q1), &engine.prepare(&ps, q2))
 }
 
 #[cfg(test)]
@@ -809,34 +869,54 @@ mod tests {
         assert!(p2.stats().total_builds() <= 7);
     }
 
+    /// Example 1.1 judged against references that share no decision code:
+    /// the canonical-state characterization per terminal branch for
+    /// containment, evaluation for minimization and expansion, a frozen
+    /// witness for satisfiability.
     #[test]
-    fn engine_matches_free_functions_on_paper_examples() {
+    fn engine_matches_independent_references_on_paper_examples() {
         let s = samples::vehicle_rental();
         let ps = PreparedSchema::new(&s);
         let engine = Engine::serial();
         let q = vehicle_query(&s);
+        let id = |name| s.class_id(name).unwrap();
         let mut b = QueryBuilder::new("x");
         let x = b.free();
-        b.range(x, [s.class_id("Auto").unwrap()]);
+        b.range(x, [id("Auto")]);
         let autos = b.build();
         let pq = PreparedQuery::new(&ps, q.clone());
         let pa = PreparedQuery::new(&ps, autos.clone());
-        assert_eq!(
-            engine.contains_positive(&pq, &pa).unwrap(),
-            crate::contains_positive(&s, &q, &autos).unwrap()
+
+        let reference = crate::expand(&s, &q)
+            .unwrap()
+            .iter()
+            .all(|sub| oocq_eval::canonical_contains(&s, sub, &autos).unwrap_or(true));
+        assert!(reference, "discount clients rent autos only");
+        assert_eq!(engine.contains_positive(&pq, &pa).unwrap(), reference);
+
+        // A discount client renting an auto; a regular client renting an
+        // auto and a truck.
+        let mut sb = oocq_state::StateBuilder::new();
+        let (a1, a2, t) = (
+            sb.object(id("Auto")),
+            sb.object(id("Auto")),
+            sb.object(id("Truck")),
         );
-        assert_eq!(
-            engine.minimize(&pq).unwrap(),
-            crate::minimize_positive(&s, &q).unwrap()
-        );
-        assert_eq!(
-            engine.expand_satisfiable(&pq).unwrap(),
-            crate::expand_satisfiable(&s, &q).unwrap()
-        );
-        assert_eq!(
-            engine.satisfiability(&pa).unwrap(),
-            crate::satisfiability(&s, &autos).unwrap()
-        );
+        let (d, r) = (sb.object(id("Discount")), sb.object(id("Regular")));
+        let rented = s.attr_id("VehRented").unwrap();
+        sb.set_members(d, rented, [a1])
+            .set_members(r, rented, [a2, t]);
+        let st = sb.finish(&s).unwrap();
+        let want = oocq_eval::answer(&s, &st, &q);
+        assert_eq!(want.len(), 1);
+        let minimized = engine.minimize(&pq).unwrap();
+        assert_eq!(oocq_eval::answer_union(&s, &st, &minimized), want);
+        let expanded = engine.expand_satisfiable(&pq).unwrap();
+        assert_eq!(oocq_eval::answer_union(&s, &st, &expanded), want);
+
+        assert!(engine.satisfiability(&pa).unwrap().is_satisfiable());
+        let (frozen, obj) = oocq_eval::canonical_state(&s, &autos).unwrap();
+        assert!(oocq_eval::answer(&s, &frozen, &autos).contains(&obj));
     }
 
     #[test]

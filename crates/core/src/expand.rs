@@ -149,26 +149,16 @@ pub fn expand(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
 
 /// Expand and keep only the satisfiable subqueries, with their non-range
 /// atoms stripped (§2.5). This is the first stage of the §4 minimization
-/// pipeline.
+/// pipeline ([`Engine::expand_satisfiable`](crate::Engine)).
 pub fn expand_satisfiable(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
-    expand_satisfiable_with(schema, q, &EngineConfig::from_env())
+    let (engine, [p]) = crate::engine::one_shot(schema, [q]);
+    engine.expand_satisfiable(&p)
 }
 
-/// [`expand_satisfiable`] under an explicit [`EngineConfig`]: with
-/// `cfg.threads > 1` the per-subquery satisfiability checks fan out across
-/// the worker pool (the surviving subqueries keep their expansion order
-/// either way).
-pub fn expand_satisfiable_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<UnionQuery, CoreError> {
-    let analysis = QueryAnalysis::of(q);
-    expand_satisfiable_inner(schema, q, cfg, None, &analysis)
-}
-
-/// The shared implementation behind [`expand_satisfiable_with`] and the
-/// prepared-query expansion memo.
+/// The satisfiable expansion behind the prepared-query expansion memo.
+/// With `cfg.threads > 1` the per-subquery satisfiability checks fan out
+/// across the worker pool (the surviving subqueries keep their expansion
+/// order either way).
 ///
 /// Two per-subquery rebuilds of the naive pipeline are hoisted out:
 ///
@@ -183,13 +173,13 @@ pub fn expand_satisfiable_with(
 ///   every subquery verbatim, and `parent_analysis` is computed once by the
 ///   caller (or served from the prepared query's memo).
 pub(crate) fn expand_satisfiable_inner(
-    schema: &Schema,
+    prepared: &PreparedSchema,
     q: &Query,
     cfg: &EngineConfig,
-    prepared: Option<&PreparedSchema>,
     parent_analysis: &QueryAnalysis,
 ) -> Result<UnionQuery, CoreError> {
-    let choice_lists = choices(schema, q, prepared)?;
+    let schema = prepared.schema();
+    let choice_lists = choices(schema, q, Some(prepared))?;
     if choice_lists.iter().any(Vec::is_empty) {
         return Ok(UnionQuery::empty());
     }

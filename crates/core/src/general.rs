@@ -18,9 +18,8 @@
 //! stays open — an unverified fold can be incorrect for general queries,
 //! and a correct one can be missed).
 
-use crate::branch::EngineConfig;
-use crate::containment::{contains_terminal_with, equivalent_terminal_with};
 use crate::derive::{find_mapping, MappingGoal, TargetData};
+use crate::engine::{one_shot, Engine, PreparedSchema};
 use crate::error::CoreError;
 use crate::satisfiability::{is_satisfiable, strip_non_range, var_classes};
 use oocq_query::{normalize, Query, UnionQuery};
@@ -32,16 +31,13 @@ use oocq_schema::Schema;
 /// ways). Sound for any terminal conjunctive query; exact (per Cor. 4.4)
 /// when the query happens to be positive.
 pub fn minimize_terminal_general(schema: &Schema, q: &Query) -> Result<Query, CoreError> {
-    minimize_terminal_general_with(schema, q, &EngineConfig::from_env())
+    fold_verified(&Engine::from_env(), &PreparedSchema::new(schema), q)
 }
 
-/// [`minimize_terminal_general`] under an explicit [`EngineConfig`]
-/// (governing the verification equivalence checks).
-pub fn minimize_terminal_general_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<Query, CoreError> {
+/// [`minimize_terminal_general`] with the verification equivalence checks
+/// run through `engine`.
+fn fold_verified(engine: &Engine, ps: &PreparedSchema, q: &Query) -> Result<Query, CoreError> {
+    let schema = ps.schema();
     let mut cur = strip_non_range(q);
     if !is_satisfiable(schema, &cur)? {
         return Ok(cur);
@@ -61,7 +57,9 @@ pub fn minimize_terminal_general_with(
             if let Some(map) = find_mapping(&ctx, &goal) {
                 let folded = cur.apply_mapping(&map);
                 // Theorem 4.3 covers only positive queries; verify the fold.
-                if cur.is_positive() || equivalent_terminal_with(schema, &cur, &folded, cfg)? {
+                if cur.is_positive()
+                    || engine.equivalent(&engine.prepare(ps, &cur), &engine.prepare(ps, &folded))?
+                {
                     cur = folded;
                     continue 'outer;
                 }
@@ -75,27 +73,29 @@ pub fn minimize_terminal_general_with(
 /// Sound minimization of a general conjunctive query into a union of
 /// terminal conjunctive queries: expand (Prop. 2.1), drop unsatisfiable
 /// branches (Thm. 2.2), drop pairwise-redundant branches (Thm. 3.1), fold
-/// variables with verification.
+/// variables with verification ([`Engine::minimize_general`]).
 ///
 /// Always equivalent to the input; optimality is **not** guaranteed for
 /// inputs with negative atoms (see the module docs).
 pub fn minimize_general(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
-    minimize_general_with(schema, q, &EngineConfig::from_env())
+    let (engine, [p]) = one_shot(schema, [q]);
+    engine.minimize_general(&p)
 }
 
-/// [`minimize_general`] under an explicit [`EngineConfig`] (governing every
-/// containment and equivalence check in the pipeline).
-pub fn minimize_general_with(
-    schema: &Schema,
+/// The body of [`Engine::minimize_general`]: every containment and
+/// equivalence check in the pipeline runs through `engine`.
+pub(crate) fn minimize_general_in(
+    engine: &Engine,
+    ps: &PreparedSchema,
     q: &Query,
-    cfg: &EngineConfig,
 ) -> Result<UnionQuery, CoreError> {
+    let schema = ps.schema();
     let normalized = normalize(q, schema)?;
     let expanded = crate::expand::expand(schema, &normalized)?;
-    let mut survivors: Vec<Query> = Vec::new();
+    let mut survivors = Vec::new();
     for sub in &expanded {
         if is_satisfiable(schema, sub)? {
-            survivors.push(strip_non_range(sub));
+            survivors.push(engine.prepare(ps, &strip_non_range(sub)));
         }
     }
     // Pairwise redundancy removal: dropping Qᵢ with Qᵢ ⊆ Qⱼ (j retained) is
@@ -110,8 +110,8 @@ pub fn minimize_general_with(
             if i == j || dropped[j] {
                 continue;
             }
-            if contains_terminal_with(schema, &survivors[i], &survivors[j], cfg)? {
-                if contains_terminal_with(schema, &survivors[j], &survivors[i], cfg)? {
+            if engine.contains(&survivors[i], &survivors[j])? {
+                if engine.contains(&survivors[j], &survivors[i])? {
                     if j < i {
                         dropped[i] = true;
                         break;
@@ -124,9 +124,9 @@ pub fn minimize_general_with(
         }
     }
     let mut out = UnionQuery::empty();
-    for (i, sub) in survivors.into_iter().enumerate() {
-        if !dropped[i] {
-            out.push(minimize_terminal_general_with(schema, &sub, cfg)?);
+    for (sub, dropped) in survivors.iter().zip(dropped) {
+        if !dropped {
+            out.push(fold_verified(engine, ps, sub.query())?);
         }
     }
     Ok(out)

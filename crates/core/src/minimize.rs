@@ -19,11 +19,9 @@
 //! occurrences of each terminal class in `term-class(Q, x)` summed over the
 //! variables `x` — the objects the query logically accesses.
 
-use crate::branch::EngineConfig;
-use crate::containment::contains_terminal_with;
 use crate::derive::{find_mapping, MappingGoal, TargetData};
+use crate::engine::{one_shot, Engine, PreparedQuery, PreparedSchema};
 use crate::error::CoreError;
-use crate::expand::expand_satisfiable_with;
 use crate::satisfiability::{is_satisfiable, var_classes};
 use oocq_query::{isomorphic, normalize, Atom, Query, UnionQuery};
 use oocq_schema::{ClassId, Schema};
@@ -77,43 +75,20 @@ pub fn cost_leq(a: &BTreeMap<ClassId, usize>, b: &BTreeMap<ClassId, usize>) -> b
 /// Remove redundant subqueries from a union of terminal positive conjunctive
 /// queries: unsatisfiable subqueries are dropped, then any `Qᵢ` contained in
 /// a retained `Qⱼ` (`j ≠ i`) is dropped, keeping the first representative of
-/// each equivalence group.
+/// each equivalence group ([`Engine::nonredundant_union`]).
 pub fn nonredundant_union(schema: &Schema, u: &UnionQuery) -> Result<UnionQuery, CoreError> {
-    nonredundant_union_with(schema, u, &EngineConfig::from_env())
+    Engine::from_env().nonredundant_union(&PreparedSchema::new(schema), u)
 }
 
-/// [`nonredundant_union`] under an explicit [`EngineConfig`] (governing the
-/// pairwise containment checks: threads, decision cache, and the
-/// isomorphism fast path).
-pub fn nonredundant_union_with(
-    schema: &Schema,
-    u: &UnionQuery,
-    cfg: &EngineConfig,
-) -> Result<UnionQuery, CoreError> {
-    let sat: Vec<&Query> = u
-        .iter()
-        .map(|q| Ok::<_, CoreError>((q, is_satisfiable(schema, q)?)))
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .filter_map(|(q, s)| s.then_some(q))
-        .collect();
-    let dropped = redundancy_flags(schema, &sat, cfg)?;
-    Ok(sat
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| !dropped[*i])
-        .map(|(_, q)| q.clone())
-        .collect())
-}
-
-/// For a slice of satisfiable terminal positive queries: which are redundant
+/// For satisfiable terminal positive queries: which are redundant
 /// (contained in a retained other)? Equivalent groups keep their first
-/// member.
-fn redundancy_flags(
-    schema: &Schema,
-    sat: &[&Query],
-    cfg: &EngineConfig,
+/// member. The pairwise checks run through `engine`, which also supplies
+/// the decision cache, budget and isomorphism fast path.
+pub(crate) fn redundancy_flags(
+    engine: &Engine,
+    sat: &[PreparedQuery],
 ) -> Result<Vec<bool>, CoreError> {
+    let cfg = engine.config();
     let n = sat.len();
     // contains[i][j] = Qᵢ ⊆ Qⱼ.
     let mut cont = vec![vec![false; n]; n];
@@ -126,12 +101,12 @@ fn redundancy_flags(
             // Expansion branches of one query are frequently renamed copies
             // of each other; isomorphic queries are equivalent, so both
             // directions hold without running Theorem 3.1.
-            if cfg.iso_fast_path && isomorphic(sat[i], sat[j]) {
+            if cfg.iso_fast_path && isomorphic(sat[i].query(), sat[j].query()) {
                 cont[i][j] = true;
                 cont[j][i] = true;
             } else {
-                cont[i][j] = contains_terminal_with(schema, sat[i], sat[j], cfg)?;
-                cont[j][i] = contains_terminal_with(schema, sat[j], sat[i], cfg)?;
+                cont[i][j] = engine.contains(&sat[i], &sat[j])?;
+                cont[j][i] = engine.contains(&sat[j], &sat[i])?;
             }
         }
     }
@@ -308,57 +283,42 @@ impl MinimizationReport {
     }
 }
 
-/// [`minimize_positive`] with a full pipeline trace.
+/// [`minimize_positive`] with a full pipeline trace. The trace itself is
+/// never cached (it is a rendering artifact, cheap relative to its size).
 pub fn minimize_positive_report(
     schema: &Schema,
     q: &Query,
-) -> Result<MinimizationReport, CoreError> {
-    minimize_positive_report_with(schema, q, &EngineConfig::from_env())
-}
-
-/// [`minimize_positive_report`] under an explicit [`EngineConfig`]. The
-/// trace itself is never cached (it is a rendering artifact, cheap relative
-/// to its size), but the redundancy checks it runs honour the
-/// configuration's cache and fast path.
-pub fn minimize_positive_report_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
 ) -> Result<MinimizationReport, CoreError> {
     use crate::satisfiability::{satisfiability, Satisfiability};
     if !q.is_positive() {
         return Err(CoreError::NotPositive);
     }
+    let (engine, ps) = (Engine::from_env(), PreparedSchema::new(schema));
     let normalized = normalize(q, schema)?;
     let expanded_union = crate::expand::expand(schema, &normalized)?;
     let expanded = expanded_union.len();
     let mut unsatisfiable = Vec::new();
-    let mut survivors: Vec<Query> = Vec::new();
+    let mut survivors = Vec::new();
     for sub in &expanded_union {
         match satisfiability(schema, sub)? {
             Satisfiability::Satisfiable => {
-                survivors.push(crate::satisfiability::strip_non_range(sub))
+                survivors.push(engine.prepare(&ps, &crate::satisfiability::strip_non_range(sub)))
             }
             Satisfiability::Unsatisfiable(reason) => unsatisfiable.push((sub.clone(), reason)),
         }
     }
-    let refs: Vec<&Query> = survivors.iter().collect();
-    let dropped = redundancy_flags(schema, &refs, cfg)?;
+    let dropped = redundancy_flags(&engine, &survivors)?;
     let mut redundant = Vec::new();
-    let mut kept: Vec<Query> = Vec::new();
-    for (i, sub) in survivors.iter().enumerate() {
-        if dropped[i] {
-            redundant.push(sub.clone());
-        } else {
-            kept.push(sub.clone());
-        }
-    }
     let mut folds = Vec::new();
     let mut result = UnionQuery::empty();
-    for sub in kept {
-        let m = minimize_terminal_positive(schema, &sub)?;
+    for (sub, dropped) in survivors.iter().map(PreparedQuery::query).zip(dropped) {
+        if dropped {
+            redundant.push(sub.clone());
+            continue;
+        }
+        let m = minimize_terminal_positive(schema, sub)?;
         if m.var_count() < sub.var_count() {
-            folds.push((sub, m.clone()));
+            folds.push((sub.clone(), m.clone()));
         }
         result.push(m);
     }
@@ -402,58 +362,29 @@ pub fn minimize_positive_report_with(
 /// );
 /// ```
 pub fn minimize_positive(schema: &Schema, q: &Query) -> Result<UnionQuery, CoreError> {
-    minimize_positive_with(schema, q, &EngineConfig::from_env())
-}
-
-/// [`minimize_positive`] under an explicit [`EngineConfig`]. When
-/// `cfg.cache` is installed, the whole pipeline result is memoized per
-/// exact query — minimization output carries variable names, so the cache
-/// key must distinguish renamed inputs (see
-/// [`DecisionCache`](crate::DecisionCache)'s contract) — while the
-/// pairwise redundancy checks inside additionally benefit from the
-/// canonical containment entries.
-pub fn minimize_positive_with(
-    schema: &Schema,
-    q: &Query,
-    cfg: &EngineConfig,
-) -> Result<UnionQuery, CoreError> {
-    if !q.is_positive() {
-        return Err(CoreError::NotPositive);
-    }
-    if let Some(cache) = &cfg.cache {
-        if let Some(hit) = cache.get_minimized(schema, q) {
-            return Ok(hit);
-        }
-    }
-    let normalized = normalize(q, schema)?;
-    let expanded = expand_satisfiable_with(schema, &normalized, cfg)?;
-    let result = minimize_pipeline(schema, &expanded, cfg)?;
-    if let Some(cache) = &cfg.cache {
-        cache.put_minimized(schema, q, &result);
-    }
-    Ok(result)
+    let (engine, [p]) = one_shot(schema, [q]);
+    engine.minimize(&p)
 }
 
 /// The §4 pipeline downstream of expansion — redundancy elimination
 /// (Theorem 4.1 pairwise) then per-subquery variable folding (Theorem 4.3)
 /// — over a union whose subqueries are already satisfiability-filtered (the
-/// contract of [`expand_satisfiable_with`] output). Shared by
-/// [`minimize_positive_with`] and [`Engine::minimize`](crate::Engine), which
-/// differ only in where the expansion comes from.
+/// contract of [`Engine::expand_satisfiable`] output). The tail of
+/// [`Engine::minimize`].
 pub(crate) fn minimize_pipeline(
-    schema: &Schema,
+    engine: &Engine,
+    schema: &PreparedSchema,
     expanded: &UnionQuery,
-    cfg: &EngineConfig,
 ) -> Result<UnionQuery, CoreError> {
-    let sat: Vec<&Query> = expanded.iter().collect();
-    let dropped = redundancy_flags(schema, &sat, cfg)?;
+    let sat: Vec<PreparedQuery> = expanded.iter().map(|q| engine.prepare(schema, q)).collect();
+    let dropped = redundancy_flags(engine, &sat)?;
     let minimized: Result<Vec<Query>, CoreError> = sat
         .iter()
-        .enumerate()
-        .filter(|(i, _)| !dropped[*i])
-        .map(|(_, sub)| {
-            cfg.budget.charge(1)?;
-            minimize_terminal_positive(schema, sub)
+        .zip(dropped)
+        .filter(|(_, dropped)| !dropped)
+        .map(|(sub, _)| {
+            engine.config().budget.charge(1)?;
+            minimize_terminal_positive(schema.schema(), sub.query())
         })
         .collect();
     Ok(UnionQuery::new(minimized?))
@@ -633,10 +564,11 @@ mod tests {
             mk_simple("renamed"),
             mk_truck(),
         ]);
-        let on = crate::EngineConfig::serial();
-        let off = crate::EngineConfig::serial().without_iso_fast_path();
-        let nr_on = nonredundant_union_with(&s, &u, &on).unwrap();
-        let nr_off = nonredundant_union_with(&s, &u, &off).unwrap();
+        let ps = PreparedSchema::new(&s);
+        let on = Engine::serial();
+        let off = Engine::new(crate::EngineConfig::serial().without_iso_fast_path());
+        let nr_on = on.nonredundant_union(&ps, &u).unwrap();
+        let nr_off = off.nonredundant_union(&ps, &u).unwrap();
         assert_eq!(nr_on, nr_off);
         assert_eq!(nr_on.len(), 2); // simple("x") + truck survive
     }

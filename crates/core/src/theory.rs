@@ -5,7 +5,7 @@
 //! containment question so that the plain Theorem 3.1 machinery answers the
 //! question **relative to the states the theory admits**. The engine keeps
 //! exactly one hook — every terminal decision funnels through
-//! [`decide_pair_with_theory`] when a theory is active, and through the
+//! [`compile_pair`] when a theory is active, and through the
 //! untouched plain path otherwise — so the plain calculus remains the
 //! byte-identical baseline ([`EmptyTheory`] pins this differentially).
 //!
@@ -51,13 +51,13 @@
 
 use crate::branch::EngineConfig;
 use crate::budget::Budget;
-use crate::containment::{decide_plain, Strategy};
+use crate::engine::PreparedQuery;
 use crate::error::CoreError;
-use crate::expand::expand_satisfiable_with;
 use crate::explain::Containment;
-use crate::satisfiability::{self, Satisfiability, UnsatReason};
+use crate::satisfiability::{Satisfiability, UnsatReason};
 use oocq_query::{Atom, Query, Term, VarId};
 use oocq_schema::{Constraint, Schema};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -436,52 +436,50 @@ pub fn compiled_left(schema: &Schema, q: &Query, cfg: &EngineConfig) -> Result<Q
     }
 }
 
-/// Decide `q1 ⊆ q2` relative to `theory`: compile both sides, expand a
-/// non-terminal compiled left query into its live terminal branches, and
-/// run each branch through the plain Theorem 3.1 engine.
+/// Compile both sides of `p1 ⊆ p2` relative to `theory`. Either the
+/// compilation alone settles the question ([`ControlFlow::Break`] with the
+/// verdict), or it yields the live terminal branches of the compiled left
+/// query — the compiled query itself when terminal, otherwise its
+/// satisfiable terminal expansion with constraint-dead branches dropped —
+/// each prepared against `p1`'s schema for the plain Theorem 3.1 chain
+/// ([`Continue`](ControlFlow::Continue)).
 ///
 /// Check order mirrors the plain path so verdict kinds line up: left
 /// unsatisfiability (vacuous holds) is established before the right side's
 /// unsatisfiability (fails) is reported.
-pub(crate) fn decide_pair_with_theory(
+pub(crate) fn compile_pair(
     theory: &dyn Theory,
-    schema: &Schema,
-    q1: &Query,
-    q2: &Query,
-    strategy: Strategy,
+    p1: &PreparedQuery,
+    p2: &PreparedQuery,
     cfg: &EngineConfig,
-    collect: bool,
-) -> Result<Containment, CoreError> {
+) -> Result<ControlFlow<Containment, Vec<PreparedQuery>>, CoreError> {
     STATS.decisions.fetch_add(1, Ordering::Relaxed);
     // The plain path requires terminal inputs (satisfiability errors with
     // `NotTerminal` otherwise); preserve that contract before compiling.
-    satisfiability::var_classes(schema, q1)?;
-    satisfiability::var_classes(schema, q2)?;
+    p1.var_classes()?;
+    p2.var_classes()?;
+    let schema = p1.schema().schema();
 
-    let q1c = match theory.compile(schema, Side::Left, q1, &cfg.budget)? {
+    let left = match theory.compile(schema, Side::Left, p1.query(), &cfg.budget)? {
         Compiled::Unsatisfiable(reason) => {
             STATS.left_unsat.fetch_add(1, Ordering::Relaxed);
-            return Ok(Containment::HoldsVacuously(reason));
+            return Ok(ControlFlow::Break(Containment::HoldsVacuously(reason)));
         }
-        Compiled::Unchanged => q1.clone(),
+        Compiled::Unchanged => p1.clone(),
         Compiled::Rewritten(q) => {
             STATS.left_rewrites.fetch_add(1, Ordering::Relaxed);
-            q
+            PreparedQuery::new(p1.schema(), q)
         }
     };
 
-    // Left branches: the compiled query itself when terminal, otherwise its
-    // satisfiable terminal expansion with constraint-dead branches dropped.
-    let branches: Vec<Query> = if q1c.is_terminal(schema) {
-        if let Satisfiability::Unsatisfiable(reason) = satisfiability::satisfiability(schema, &q1c)?
-        {
-            return Ok(Containment::HoldsVacuously(reason));
+    let branches = if left.query().is_terminal(schema) {
+        if let Satisfiability::Unsatisfiable(reason) = left.satisfiability()? {
+            return Ok(ControlFlow::Break(Containment::HoldsVacuously(reason)));
         }
-        vec![q1c]
+        vec![left]
     } else {
-        let expanded = expand_satisfiable_with(schema, &q1c, cfg)?;
         let mut alive = Vec::new();
-        for b in expanded.queries() {
+        for b in left.raw_expansion(cfg)? {
             // Branch filtering is a dead-range check only (Side::Right
             // semantics): re-chasing instantiated witnesses could recurse
             // indefinitely, and a missed chase round only weakens *fails*
@@ -490,42 +488,36 @@ pub(crate) fn decide_pair_with_theory(
                 Compiled::Unsatisfiable(_) => {
                     STATS.dead_branches.fetch_add(1, Ordering::Relaxed);
                 }
-                _ => alive.push(b.clone()),
+                _ => alive.push(PreparedQuery::new(p1.schema(), b.clone())),
             }
         }
         if alive.is_empty() {
-            return Ok(Containment::HoldsVacuously(UnsatReason::NoLegalBranch {
-                var: q1.var_name(q1.free_var()).to_owned(),
-            }));
+            let q1 = p1.query();
+            return Ok(ControlFlow::Break(Containment::HoldsVacuously(
+                UnsatReason::NoLegalBranch {
+                    var: q1.var_name(q1.free_var()).to_owned(),
+                },
+            )));
         }
         alive
     };
 
-    if let Compiled::Unsatisfiable(reason) = theory.compile(schema, Side::Right, q2, &cfg.budget)? {
+    if let Compiled::Unsatisfiable(reason) =
+        theory.compile(schema, Side::Right, p2.query(), &cfg.budget)?
+    {
         STATS.right_unsat.fetch_add(1, Ordering::Relaxed);
-        return Ok(Containment::FailsRightUnsatisfiable(reason));
+        return Ok(ControlFlow::Break(Containment::FailsRightUnsatisfiable(
+            reason,
+        )));
     }
-
-    let mut witnesses = Vec::new();
-    for b in &branches {
-        match decide_plain(schema, b, q2, strategy, cfg, collect)? {
-            Containment::HoldsVacuously(_) => {} // branch contributes nothing
-            Containment::Holds(ws) => witnesses.extend(ws),
-            fails @ (Containment::Fails { .. } | Containment::FailsRightUnsatisfiable(_)) => {
-                return Ok(fails);
-            }
-        }
-    }
-    Ok(Containment::Holds(witnesses))
+    Ok(ControlFlow::Continue(branches))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::containment::{
-        contains_positive_with, decide_containment_with, dispatch_containment_with,
-    };
-    use crate::DecisionCache;
+    use crate::engine::on_engine;
+    use crate::{DecisionCache, Engine};
     use oocq_query::{QueryBuilder, UnionQuery};
     use oocq_schema::SchemaBuilder;
     use std::sync::atomic::AtomicUsize;
@@ -599,10 +591,10 @@ mod tests {
         let cfg = EngineConfig::serial();
         let q1 = range_query(&plain, "B");
         let q2 = range_query(&plain, "T1");
-        assert!(!contains_positive_with(&plain, &q1, &q2, &cfg).unwrap());
-        assert!(!dispatch_containment_with(&plain, &q1, &q2, &cfg).unwrap());
-        assert!(contains_positive_with(&constrained, &q1, &q2, &cfg).unwrap());
-        assert!(dispatch_containment_with(&constrained, &q1, &q2, &cfg).unwrap());
+        assert!(!on_engine(&plain, &cfg, &q1, &q2, Engine::contains_positive).unwrap());
+        assert!(!on_engine(&plain, &cfg, &q1, &q2, Engine::dispatch).unwrap());
+        assert!(on_engine(&constrained, &cfg, &q1, &q2, Engine::contains_positive).unwrap());
+        assert!(on_engine(&constrained, &cfg, &q1, &q2, Engine::dispatch).unwrap());
     }
 
     #[test]
@@ -614,20 +606,20 @@ mod tests {
         let t1 = range_query(&plain, "T1");
         // Dead left: Holds -> HoldsVacuously.
         assert!(matches!(
-            decide_containment_with(&plain, &t2, &t2, &cfg).unwrap(),
+            on_engine(&plain, &cfg, &t2, &t2, Engine::decide).unwrap(),
             Containment::Holds(_)
         ));
         assert!(matches!(
-            decide_containment_with(&constrained, &t2, &t2, &cfg).unwrap(),
+            on_engine(&constrained, &cfg, &t2, &t2, Engine::decide).unwrap(),
             Containment::HoldsVacuously(UnsatReason::DeadRange { .. })
         ));
         // Dead right: Fails -> FailsRightUnsatisfiable.
         assert!(matches!(
-            decide_containment_with(&plain, &t1, &t2, &cfg).unwrap(),
+            on_engine(&plain, &cfg, &t1, &t2, Engine::decide).unwrap(),
             Containment::Fails { .. }
         ));
         assert!(matches!(
-            decide_containment_with(&constrained, &t1, &t2, &cfg).unwrap(),
+            on_engine(&constrained, &cfg, &t1, &t2, Engine::decide).unwrap(),
             Containment::FailsRightUnsatisfiable(UnsatReason::DeadRange { .. })
         ));
     }
@@ -650,10 +642,10 @@ mod tests {
         b.eq(Term::Attr(x, f), Term::Var(u));
         let q2 = b.build();
         assert!(matches!(
-            decide_containment_with(&plain, &q1, &q2, &cfg).unwrap(),
+            on_engine(&plain, &cfg, &q1, &q2, Engine::decide).unwrap(),
             Containment::Fails { .. }
         ));
-        let verdict = decide_containment_with(&constrained, &q1, &q2, &cfg).unwrap();
+        let verdict = on_engine(&constrained, &cfg, &q1, &q2, Engine::decide).unwrap();
         assert!(matches!(&verdict, Containment::Holds(ws) if !ws.is_empty()));
         // The witness maps u to the chase variable, which lives beyond
         // q1's variable space; rendering against the compiled left query
@@ -715,10 +707,10 @@ mod tests {
         let q2 = b.build();
 
         assert!(matches!(
-            decide_containment_with(&plain, &q1, &q2, &cfg).unwrap(),
+            on_engine(&plain, &cfg, &q1, &q2, Engine::decide).unwrap(),
             Containment::Fails { .. }
         ));
-        assert!(decide_containment_with(&constrained, &q1, &q2, &cfg)
+        assert!(on_engine(&constrained, &cfg, &q1, &q2, Engine::decide)
             .unwrap()
             .holds());
     }
@@ -731,7 +723,7 @@ mod tests {
         // With the identity theory installed, the constrained schema
         // decides exactly like the plain calculus.
         assert!(matches!(
-            decide_containment_with(&constrained, &t2, &t2, &cfg).unwrap(),
+            on_engine(&constrained, &cfg, &t2, &t2, Engine::decide).unwrap(),
             Containment::Holds(_)
         ));
     }
@@ -759,10 +751,15 @@ mod tests {
         let theory: Arc<dyn Theory> = Arc::new(ConstraintTheory::for_schema(&s));
         for (l, r) in [(&q_small, &q_big), (&q_big, &q_small), (&q_big, &q_big)] {
             for cfg in [EngineConfig::serial(), EngineConfig::with_threads(8)] {
-                let plain = decide_containment_with(&s, l, r, &cfg).unwrap();
-                let themed =
-                    decide_containment_with(&s, l, r, &cfg.clone().with_theory(theory.clone()))
-                        .unwrap();
+                let plain = on_engine(&s, &cfg, l, r, Engine::decide).unwrap();
+                let themed = on_engine(
+                    &s,
+                    &cfg.clone().with_theory(theory.clone()),
+                    l,
+                    r,
+                    Engine::decide,
+                )
+                .unwrap();
                 assert_eq!(format!("{plain:?}"), format!("{themed:?}"));
             }
         }
@@ -799,7 +796,7 @@ mod tests {
         // the schema's constraints auto-activate a theory — the schema
         // fingerprint carries the constraint text, so keys cannot collide.
         let cfg = EngineConfig::serial().with_cache(cache.clone());
-        assert!(crate::contains_terminal_with(&s, &t1, &t1, &cfg).unwrap());
+        assert!(on_engine(&s, &cfg, &t1, &t1, Engine::contains).unwrap());
         assert_eq!(cache.gets.load(Ordering::Relaxed), 1);
         assert_eq!(cache.puts.load(Ordering::Relaxed), 1);
 
@@ -811,7 +808,7 @@ mod tests {
             let cfg = EngineConfig::serial()
                 .with_cache(cache.clone())
                 .with_theory(theory);
-            assert!(crate::contains_terminal_with(&s, &t1, &t1, &cfg).unwrap());
+            assert!(on_engine(&s, &cfg, &t1, &t1, Engine::contains).unwrap());
         }
         assert_eq!(cache.gets.load(Ordering::Relaxed), 1);
         assert_eq!(cache.puts.load(Ordering::Relaxed), 1);
@@ -823,7 +820,7 @@ mod tests {
         let constrained = total_schema(true);
         let cfg = EngineConfig::serial();
         let q1 = range_query(&constrained, "T");
-        decide_containment_with(&constrained, &q1, &q1, &cfg).unwrap();
+        on_engine(&constrained, &cfg, &q1, &q1, Engine::decide).unwrap();
         let after = theory_stats();
         assert!(after.decisions > before.decisions);
         assert!(after.left_rewrites > before.left_rewrites);
@@ -844,8 +841,10 @@ mod tests {
         let q = range_query(&s, "T");
         let q1c = compiled_left(&s, &q, &EngineConfig::serial()).unwrap();
         assert_eq!(q1c.var_count(), 1 + MAX_CHASE_ROUNDS);
-        assert!(decide_containment_with(&s, &q, &q, &EngineConfig::serial())
-            .unwrap()
-            .holds());
+        assert!(
+            on_engine(&s, &EngineConfig::serial(), &q, &q, Engine::decide)
+                .unwrap()
+                .holds()
+        );
     }
 }

@@ -12,12 +12,10 @@ use crate::cache::CanonicalDecisionCache;
 use crate::flight::{FlightKey, FlightStats};
 use crate::protocol::{Request, RequestStats};
 use crate::runner::run_program_with;
-use oocq_core::{
-    contains_terminal_with, expand, expand_satisfiable_with, satisfiability, Budget, DecisionCache,
-    Engine, EngineConfig, PreparedQuery, PreparedSchema, Satisfiability,
-};
+use crate::verbs;
+use oocq_core::{Budget, DecisionCache, Engine, EngineConfig, PreparedQuery, PreparedSchema};
 use oocq_parser::{parse_program, parse_query, parse_schema};
-use oocq_query::{normalize, Query, UnionQuery};
+use oocq_query::{Query, UnionQuery};
 use oocq_schema::Schema;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -587,137 +585,39 @@ impl ServiceEngine {
         cfg: &EngineConfig,
     ) -> Result<String, String> {
         let core = |e: oocq_core::CoreError| e.to_string();
-        let wf = |e: oocq_query::WellFormedError| e.to_string();
+        let lines =
+            |r: Result<Vec<String>, _>| Ok(r.map_err(core)?.join("\n").trim_end().to_owned());
         let session = || snapshot.ok_or_else(|| "internal: missing session snapshot".to_owned());
         let eng = Engine::new(cfg.clone());
         match req {
             Request::Satisfiable { query, .. } => {
-                let ses = session()?;
-                let s = ses.schema();
-                let q = ses.query(query)?.query();
-                let n = normalize(q, s).map_err(wf)?;
-                let u = expand(s, &n).map_err(core)?;
-                // On a constrained schema a branch can be plain-satisfiable
-                // yet dead under the declared constraints (every terminal
-                // class one of its variables could take is disjointness-
-                // eliminated); report those as UNSAT with the theory's
-                // reason.
-                let theory = if s.has_constraints() {
-                    Some(oocq_core::ConstraintTheory::for_schema(s))
-                } else {
-                    None
-                };
-                let mut out = String::new();
-                for sub in &u {
-                    match satisfiability(s, sub).map_err(core)? {
-                        Satisfiability::Satisfiable => {
-                            let dead = match &theory {
-                                Some(t) => {
-                                    use oocq_core::Theory as _;
-                                    match t
-                                        .compile(s, oocq_core::Side::Right, sub, &cfg.budget)
-                                        .map_err(core)?
-                                    {
-                                        oocq_core::Compiled::Unsatisfiable(reason) => Some(reason),
-                                        _ => None,
-                                    }
-                                }
-                                None => None,
-                            };
-                            match dead {
-                                Some(reason) => {
-                                    let _ = writeln!(out, "UNSAT {} ({reason})", sub.display(s));
-                                }
-                                None => {
-                                    let _ = writeln!(out, "SAT   {}", sub.display(s));
-                                }
-                            }
-                        }
-                        Satisfiability::Unsatisfiable(reason) => {
-                            let _ = writeln!(out, "UNSAT {} ({reason})", sub.display(s));
-                        }
-                    }
-                }
-                Ok(out.trim_end().to_owned())
+                lines(verbs::satisfiable(&eng, session()?.query(query)?))
             }
             Request::Contains { q1, q2, .. } => {
                 let ses = session()?;
                 let holds = eng.dispatch(ses.query(q1)?, ses.query(q2)?).map_err(core)?;
-                Ok(if holds { "holds" } else { "FAILS" }.to_owned())
+                Ok(verbs::verdict(holds).to_owned())
             }
             Request::Equivalent { q1, q2, .. } => {
                 let ses = session()?;
-                let (pa, pb) = (ses.query(q1)?, ses.query(q2)?);
                 let holds =
-                    eng.dispatch(pa, pb).map_err(core)? && eng.dispatch(pb, pa).map_err(core)?;
-                Ok(if holds { "holds" } else { "FAILS" }.to_owned())
+                    verbs::equivalent(&eng, ses.query(q1)?, ses.query(q2)?).map_err(core)?;
+                Ok(verbs::verdict(holds).to_owned())
             }
             Request::Explain { q1, q2, .. } => {
                 let ses = session()?;
-                let (pa, pb) = (ses.query(q1)?, ses.query(q2)?);
-                let (s, qa, qb) = (ses.schema(), pa.query(), pb.query());
-                if qa.is_terminal(s) && qb.is_terminal(s) {
-                    let proof = eng.decide(pa, pb).map_err(core)?;
-                    // Under a constraint theory the decision ran against the
-                    // *compiled* left query (chase atoms, merged members), so
-                    // witnesses reference its variables; recompute it for the
-                    // rendering.
-                    let qa_c = oocq_core::compiled_left(s, qa, cfg).map_err(core)?;
-                    Ok(proof.render(s, &qa_c, qb).trim_end().to_owned())
-                } else {
-                    let ua = expand_satisfiable_with(s, &normalize(qa, s).map_err(wf)?, cfg)
-                        .map_err(core)?;
-                    let ub = expand_satisfiable_with(s, &normalize(qb, s).map_err(wf)?, cfg)
-                        .map_err(core)?;
-                    let mut out = String::new();
-                    if ua.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "holds vacuously: every branch of {q1} is unsatisfiable"
-                        );
-                    }
-                    for sub in &ua {
-                        let mut covered = false;
-                        for p in &ub {
-                            if contains_terminal_with(s, sub, p, cfg).map_err(core)? {
-                                covered = true;
-                                break;
-                            }
-                        }
-                        let _ = writeln!(
-                            out,
-                            "{} {}",
-                            if covered { "covered " } else { "UNCOVERED" },
-                            sub.display(s)
-                        );
-                    }
-                    Ok(out.trim_end().to_owned())
-                }
+                lines(verbs::explain(&eng, q1, ses.query(q1)?, ses.query(q2)?))
             }
             Request::Expand { query, .. } => {
-                let ses = session()?;
-                let s = ses.schema();
-                let q = ses.query(query)?.query();
-                let u = expand(s, &normalize(q, s).map_err(wf)?).map_err(core)?;
-                let mut out = format!("{} branches", u.len());
-                for sub in &u {
-                    let _ = write!(out, "\n  {}", sub.display(s));
+                let subs = verbs::expand_branches(session()?.query(query)?).map_err(core)?;
+                let mut out = format!("{} branches", subs.len());
+                for sub in &subs {
+                    let _ = write!(out, "\n  {sub}");
                 }
                 Ok(out)
             }
             Request::Minimize { query, .. } => {
-                let ses = session()?;
-                let s = ses.schema();
-                let m = eng.minimize(ses.query(query)?).map_err(core)?;
-                if m.is_empty() {
-                    return Ok("(unsatisfiable: empty union)".to_owned());
-                }
-                let lines: Vec<String> = m
-                    .queries()
-                    .iter()
-                    .map(|sub| sub.display(s).to_string())
-                    .collect();
-                Ok(lines.join("\n"))
+                lines(verbs::minimize(&eng, session()?.query(query)?))
             }
             Request::Run { text } => {
                 let program = parse_program(text).map_err(|e| format!("parse error at {e}"))?;
@@ -890,6 +790,49 @@ mod tests {
         assert!(report.contains("persist: tier2_hits=0"), "{report}");
         assert!(report.contains("appended=1"), "{report}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `run` renders each verb through the same body as the session verb,
+    /// so on constrained schemas the two agree line for line: `explain`
+    /// names the totality chase witness (`x_F`) its certificate maps to,
+    /// and `satisfiable` reports a disjointness-dead range as UNSAT.
+    #[test]
+    fn run_agrees_with_session_verbs_on_constrained_schemas() {
+        let cases = [
+            (
+                "class U {} class T { F: U; } constraint total T.F;",
+                "{ x | x in T }",
+                "{ x | exists u: x in T & u in U & x.F = u }",
+                "explain s A B",
+                "explain A <= B",
+                "explain A <= B:",
+                "u -> x_F",
+            ),
+            (
+                "class A {} class B {} class C : A, B {} constraint disjoint A B;",
+                "{ x | x in C }",
+                "{ x | x in C }",
+                "satisfiable s A",
+                "satisfiable A",
+                "satisfiable A?",
+                "UNSAT { x | x in C } (every terminal class `x` could belong to is dead",
+            ),
+        ];
+        for (schema, a, b, verb, command, header, expect) in cases {
+            let e = engine();
+            e.define_schema("s", schema).unwrap();
+            e.define_query("s", "A", a).unwrap();
+            e.define_query("s", "B", b).unwrap();
+            let session = decide(&e, verb).unwrap();
+            assert!(session.contains(expect), "{verb}: {session}");
+            let run = decide(
+                &e,
+                &format!("run schema {{ {schema} }} query A = {a} query B = {b} {command}"),
+            )
+            .unwrap();
+            let indented: String = session.lines().map(|l| format!("  {l}\n")).collect();
+            assert_eq!(run, format!("{header}\n{indented}\n"), "{verb}");
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ mod protocol;
 pub mod reactor;
 mod runner;
 mod server;
+mod verbs;
 
 pub use cache::{
     CacheStats, CanonicalDecisionCache, PersistStats, DEFAULT_CAPACITY, DEFAULT_DISK_CAPACITY,

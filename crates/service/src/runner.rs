@@ -7,12 +7,9 @@
 //! `oocq::run_program` delegates here with
 //! [`EngineConfig::from_env`].
 
-use oocq_core::{
-    contains_terminal_with, expand, expand_satisfiable_with, satisfiability, CoreError, Engine,
-    EngineConfig, PreparedQuery, PreparedSchema, Satisfiability,
-};
+use crate::verbs;
+use oocq_core::{CoreError, Engine, EngineConfig, PreparedQuery, PreparedSchema};
 use oocq_parser::{parse_program, Command, ParseError, Program};
-use oocq_query::normalize;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -55,17 +52,17 @@ pub fn run_workbench_with(source: &str, cfg: &EngineConfig) -> Result<String, Ru
     run_program_with(&program, cfg).map_err(Into::into)
 }
 
-/// Run an already-parsed program under a configuration.
+/// Run an already-parsed program under a configuration. Each command runs
+/// its verb's shared body and renders it under a header line, indented.
 ///
 /// Output is independent of `cfg.threads` and of the cache state (the
 /// corpus replay tests in this crate assert both).
 pub fn run_program_with(program: &Program, cfg: &EngineConfig) -> Result<String, CoreError> {
-    let s = &program.schema;
     let eng = Engine::new(cfg.clone());
     // Prepare the schema and every named query once; all commands over a
     // name then share its memoized analysis, classes, canonical form, and
     // branch indexes.
-    let ps = PreparedSchema::new(s);
+    let ps = PreparedSchema::new(&program.schema);
     let prepared: HashMap<&str, PreparedQuery> = program
         .queries
         .iter()
@@ -73,93 +70,42 @@ pub fn run_program_with(program: &Program, cfg: &EngineConfig) -> Result<String,
         .collect();
     let prep = |name: &str| prepared.get(name).expect("validated by the parser");
     let mut out = String::new();
+    let block = |out: &mut String, header: String, lines: Vec<String>| {
+        let _ = writeln!(out, "{header}");
+        for line in lines {
+            let _ = writeln!(out, "  {line}");
+        }
+    };
     for cmd in &program.commands {
         match cmd {
-            Command::Satisfiable(name) => {
-                let q = prep(name).query();
-                let _ = writeln!(out, "satisfiable {name}?");
-                let u = expand(s, &normalize(q, s)?)?;
-                for sub in &u {
-                    match satisfiability(s, sub)? {
-                        Satisfiability::Satisfiable => {
-                            let _ = writeln!(out, "  SAT   {}", sub.display(s));
-                        }
-                        Satisfiability::Unsatisfiable(reason) => {
-                            let _ = writeln!(out, "  UNSAT {} ({reason})", sub.display(s));
-                        }
-                    }
-                }
-            }
+            Command::Satisfiable(name) => block(
+                &mut out,
+                format!("satisfiable {name}?"),
+                verbs::satisfiable(&eng, prep(name))?,
+            ),
             Command::CheckContains(a, b) => {
                 let holds = eng.dispatch(prep(a), prep(b))?;
-                let _ = writeln!(
-                    out,
-                    "check {a} <= {b}: {}",
-                    if holds { "holds" } else { "FAILS" }
-                );
+                let _ = writeln!(out, "check {a} <= {b}: {}", verbs::verdict(holds));
             }
             Command::CheckEquivalent(a, b) => {
-                let (pa, pb) = (prep(a), prep(b));
-                let holds = eng.dispatch(pa, pb)? && eng.dispatch(pb, pa)?;
-                let _ = writeln!(
-                    out,
-                    "check {a} == {b}: {}",
-                    if holds { "holds" } else { "FAILS" }
+                let holds = verbs::equivalent(&eng, prep(a), prep(b))?;
+                let _ = writeln!(out, "check {a} == {b}: {}", verbs::verdict(holds));
+            }
+            Command::Explain(a, b) => block(
+                &mut out,
+                format!("explain {a} <= {b}:"),
+                verbs::explain(&eng, a, prep(a), prep(b))?,
+            ),
+            Command::Expand(name) => {
+                let subs = verbs::expand_branches(prep(name))?;
+                block(
+                    &mut out,
+                    format!("expand {name} ({} branches):", subs.len()),
+                    subs,
                 );
             }
-            Command::Explain(a, b) => {
-                let (pa, pb) = (prep(a), prep(b));
-                let (qa, qb) = (pa.query(), pb.query());
-                let _ = writeln!(out, "explain {a} <= {b}:");
-                if qa.is_terminal(s) && qb.is_terminal(s) {
-                    let proof = eng.decide(pa, pb)?;
-                    for line in proof.render(s, qa, qb).lines() {
-                        let _ = writeln!(out, "  {line}");
-                    }
-                } else {
-                    let ua = expand_satisfiable_with(s, &normalize(qa, s)?, cfg)?;
-                    let ub = expand_satisfiable_with(s, &normalize(qb, s)?, cfg)?;
-                    if ua.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "  holds vacuously: every branch of {a} is unsatisfiable"
-                        );
-                    }
-                    for sub in &ua {
-                        let mut covered = false;
-                        for p in &ub {
-                            if contains_terminal_with(s, sub, p, cfg)? {
-                                covered = true;
-                                break;
-                            }
-                        }
-                        let _ = writeln!(
-                            out,
-                            "  {} {}",
-                            if covered { "covered " } else { "UNCOVERED" },
-                            sub.display(s)
-                        );
-                    }
-                }
-            }
-            Command::Expand(name) => {
-                let q = prep(name).query();
-                let u = expand(s, &normalize(q, s)?)?;
-                let _ = writeln!(out, "expand {name} ({} branches):", u.len());
-                for sub in &u {
-                    let _ = writeln!(out, "  {}", sub.display(s));
-                }
-            }
-            Command::Minimize(name) => match eng.minimize(prep(name)) {
-                Ok(m) => {
-                    let _ = writeln!(out, "minimize {name}:");
-                    if m.is_empty() {
-                        let _ = writeln!(out, "  (unsatisfiable: empty union)");
-                    }
-                    for sub in &m {
-                        let _ = writeln!(out, "  {}", sub.display(s));
-                    }
-                }
+            Command::Minimize(name) => match verbs::minimize(&eng, prep(name)) {
+                Ok(lines) => block(&mut out, format!("minimize {name}:"), lines),
                 Err(e) => {
                     let _ = writeln!(out, "minimize {name}: cannot minimize ({e})");
                 }

@@ -1,6 +1,7 @@
 //! A richer domain: a university schema with a three-level hierarchy and
-//! several realistic queries, run through the memoizing [`Optimizer`]
-//! session. Shows the full surface working together: the DSL, typing-based
+//! several realistic queries, decided through an [`Engine`] with a
+//! canonical decision cache. Shows the full surface working together: the
+//! DSL, typing-based
 //! pruning across multiple refinement sites, certificates, the pipeline
 //! report, and evaluation on generated data.
 //!
@@ -9,9 +10,10 @@
 use oocq::gen::StdRng;
 use oocq::gen::{random_state, StateParams};
 use oocq::{
-    answer, answer_union, decide_containment, minimize_positive_report, parse_query, parse_schema,
-    Optimizer,
+    answer, answer_union, minimize_positive_report, parse_query, parse_schema,
+    CanonicalDecisionCache, Engine,
 };
+use std::sync::Arc;
 
 fn main() {
     // People split into staff and students; students into undergrads and
@@ -36,7 +38,10 @@ fn main() {
 
     println!("schema statistics: {:?}\n", schema.statistics());
 
-    let mut opt = Optimizer::new(&schema);
+    // Repeated minimizations of the same query are answered by the cache.
+    let cache = Arc::new(CanonicalDecisionCache::new(256));
+    let engine = Engine::from_env().with_cache(cache.clone());
+    let ps = engine.prepare_schema(&schema);
 
     // Q1: courses taken by some student and taught by some staff member.
     let q1 = parse_query(
@@ -52,6 +57,8 @@ fn main() {
     )
     .unwrap();
 
+    let (p1, p2) = (engine.prepare(&ps, &q1), engine.prepare(&ps, &q2));
+
     for (name, q) in [("Q1", &q1), ("Q2", &q2)] {
         println!("== {name}: {}", q.display(&schema));
         let report = minimize_positive_report(&schema, q).unwrap();
@@ -60,18 +67,20 @@ fn main() {
     }
 
     // Containment with a certificate: every Q2 answer is a Q1 answer.
-    let m2 = opt.minimize(&q2).unwrap();
-    let m1 = opt.minimize(&q1).unwrap();
-    let contained = oocq::union_contains(&schema, &m2, &m1).unwrap();
+    let m2 = engine.minimize(&p2).unwrap();
+    let m1 = engine.minimize(&p1).unwrap();
+    let contained = engine.union_contains(&ps, &m2, &m1).unwrap();
     println!("Q2 <= Q1: {}", if contained { "holds" } else { "FAILS" });
     if let (Some(sub2), true) = (m2.queries().first(), contained) {
         // Show one terminal-level certificate.
+        let sub2 = engine.prepare(&ps, sub2);
         if let Some(sub1) = m1
             .iter()
-            .find(|p| oocq::contains_terminal(&schema, sub2, p).unwrap())
+            .map(|sub1| engine.prepare(&ps, sub1))
+            .find(|sub1| engine.contains(&sub2, sub1).unwrap())
         {
-            let proof = decide_containment(&schema, sub2, sub1).unwrap();
-            for line in proof.render(&schema, sub2, sub1).lines() {
+            let proof = engine.decide(&sub2, &sub1).unwrap();
+            for line in proof.render(&schema, sub2.query(), sub1.query()).lines() {
                 println!("  {line}");
             }
         }
@@ -89,9 +98,9 @@ fn main() {
         },
     );
     println!("\nstate: {}", state.statistics(&schema));
-    for (name, q) in [("Q1", &q1), ("Q2", &q2)] {
-        let m = opt.minimize(q).unwrap();
-        let naive = answer(&schema, &state, q);
+    for (name, p) in [("Q1", &p1), ("Q2", &p2)] {
+        let m = engine.minimize(p).unwrap();
+        let naive = answer(&schema, &state, p.query());
         let optimal = answer_union(&schema, &state, &m);
         assert_eq!(naive, optimal, "{name}: minimization must preserve answers");
         println!(
@@ -101,5 +110,5 @@ fn main() {
             if m.len() == 1 { "y" } else { "ies" }
         );
     }
-    println!("\noptimizer cache: {:?}", opt.stats());
+    println!("\ndecision cache: {:?}", cache.stats());
 }

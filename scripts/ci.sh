@@ -19,6 +19,10 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     cargo build --release
     echo "ci: cargo test -q"
     cargo test -q
+    # The root package's tests above do not reach the member crates' own
+    # unit and integration tests (core, service, oracle, ...); run them all.
+    echo "ci: cargo test -q --workspace"
+    cargo test -q --workspace
     # Failure-path gate: budgets, panic isolation, backpressure, and the
     # end-to-end deadline walkthrough must stay green by name, so a rename
     # or filter change can't silently drop them from the suite.
@@ -33,6 +37,12 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     echo "ci: bench_prune smoke (quick mode)"
     OOCQ_BENCH_QUICK=1 cargo run --release -q -p oocq-bench --bin bench_prune \
         -- target/BENCH_prune_smoke.json
+    # Prepared-layer gate: bench_prepared asserts verdict parity between
+    # per-call preparation and a prepared Engine session plus its in-binary
+    # >=2x median floor on every entry; quick mode keeps that check short.
+    echo "ci: bench_prepared smoke (quick mode)"
+    OOCQ_BENCH_QUICK=1 cargo run --release -q -p oocq-bench --bin bench_prepared \
+        -- target/BENCH_prepared_smoke.json
     # Constraint gate: bench_constrained asserts in-binary that declared
     # constraints still flip >=3 containment verdicts from fails to holds
     # through the theory hook; quick mode keeps that check without

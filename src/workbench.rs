@@ -7,55 +7,15 @@
 //! [`EngineConfig`]; these wrappers preserve the original environment-driven
 //! API and its exact output bytes.
 
-use crate::{parse_program, CoreError, EngineConfig, ParseError, Program, Query, Schema};
-use oocq_service::RunError;
+use crate::{parse_program, CoreError, EngineConfig, Program};
 
-/// Errors from running a workbench program.
-#[derive(Debug)]
-pub enum WorkbenchError {
-    /// The program text failed to parse.
-    Parse(ParseError),
-    /// A command failed (e.g. minimizing a non-positive query).
-    Core(CoreError),
-}
-
-impl std::fmt::Display for WorkbenchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkbenchError::Parse(e) => write!(f, "parse error at {e}"),
-            WorkbenchError::Core(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for WorkbenchError {}
-
-impl From<ParseError> for WorkbenchError {
-    fn from(e: ParseError) -> Self {
-        WorkbenchError::Parse(e)
-    }
-}
-
-impl From<CoreError> for WorkbenchError {
-    fn from(e: CoreError) -> Self {
-        WorkbenchError::Core(e)
-    }
-}
-
-impl From<RunError> for WorkbenchError {
-    fn from(e: RunError) -> Self {
-        match e {
-            RunError::Parse(e) => WorkbenchError::Parse(e),
-            RunError::Core(e) => WorkbenchError::Core(e),
-        }
-    }
-}
+/// Errors from running a workbench program: a parse failure or a failed
+/// command (e.g. minimizing a non-positive query).
+pub use oocq_service::RunError as WorkbenchError;
 
 /// Containment dispatch across query shapes: §3 for terminal pairs, §4 for
 /// positive pairs, left-expansion against a terminal right side.
-pub fn dispatch_containment(s: &Schema, qa: &Query, qb: &Query) -> Result<bool, CoreError> {
-    oocq_core::dispatch_containment(s, qa, qb)
-}
+pub use oocq_core::dispatch_containment;
 
 /// Parse and run a program, returning the rendered transcript.
 pub fn run_workbench(source: &str) -> Result<String, WorkbenchError> {

@@ -6,9 +6,8 @@
 
 use oocq::gen::{random_schema, random_terminal_positive, QueryParams, Rng, SchemaParams, StdRng};
 use oocq::{
-    contains_terminal_full_with, contains_terminal_with, decide_containment_with,
-    expand_satisfiable_with, normalize, union_contains_with, Atom, Containment, Engine,
-    EngineConfig, Query, QueryBuilder, Schema, SearchOrder, Term, UnionQuery,
+    normalize, Atom, Containment, Engine, EngineConfig, PreparedQuery, PreparedSchema, Query,
+    QueryBuilder, Schema, SearchOrder, Term, UnionQuery,
 };
 
 fn test_schema(seed: u64) -> Schema {
@@ -68,6 +67,19 @@ fn forced_parallel(threads: usize) -> EngineConfig {
     }
 }
 
+/// Run `f` on `Engine::new(cfg)` with `q1` and `q2` prepared against
+/// `schema`.
+fn on_engine<T>(
+    schema: &Schema,
+    cfg: &EngineConfig,
+    q1: &Query,
+    q2: &Query,
+    f: impl FnOnce(&Engine, &PreparedQuery, &PreparedQuery) -> T,
+) -> T {
+    let (engine, ps) = (Engine::new(cfg.clone()), PreparedSchema::new(schema));
+    f(&engine, &engine.prepare(&ps, q1), &engine.prepare(&ps, q2))
+}
+
 /// The full certificate — every witness mapping, their order, and the
 /// failing augmentation on refusal — is identical under serial and
 /// parallel configurations, across random general terminal queries that
@@ -84,10 +96,10 @@ fn parallel_certificates_match_serial() {
         // MembershipFree, and Full across the sweep.
         let q1 = add_negative_atoms(&mut rng, &schema, &base1, (seed % 3) as usize);
         let q2 = add_negative_atoms(&mut rng, &schema, &base2, (seed % 4) as usize);
-        let serial = decide_containment_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
+        let serial = on_engine(&schema, &EngineConfig::serial(), &q1, &q2, Engine::decide).unwrap();
         for threads in [2, 4, 8] {
             let par =
-                decide_containment_with(&schema, &q1, &q2, &forced_parallel(threads)).unwrap();
+                on_engine(&schema, &forced_parallel(threads), &q1, &q2, Engine::decide).unwrap();
             assert_eq!(
                 serial,
                 par,
@@ -112,10 +124,23 @@ fn full_enumeration_agrees_with_fast_paths() {
         let base2 = random_terminal_positive(&mut rng, &schema, &p);
         let q1 = add_negative_atoms(&mut rng, &schema, &base1, 1);
         let q2 = add_negative_atoms(&mut rng, &schema, &base2, (seed % 3) as usize);
-        let fast = contains_terminal_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-        let full_serial =
-            contains_terminal_full_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-        let full_par = contains_terminal_full_with(&schema, &q1, &q2, &forced_parallel(4)).unwrap();
+        let fast = on_engine(&schema, &EngineConfig::serial(), &q1, &q2, Engine::contains).unwrap();
+        let full_serial = on_engine(
+            &schema,
+            &EngineConfig::serial(),
+            &q1,
+            &q2,
+            Engine::contains_full,
+        )
+        .unwrap();
+        let full_par = on_engine(
+            &schema,
+            &forced_parallel(4),
+            &q1,
+            &q2,
+            Engine::contains_full,
+        )
+        .unwrap();
         assert_eq!(
             fast,
             full_serial,
@@ -148,8 +173,11 @@ fn union_containment_matches_serial() {
                 .map(|_| random_terminal_positive(&mut rng, &schema, &p))
                 .collect(),
         );
-        let serial = union_contains_with(&schema, &m, &n, &EngineConfig::serial()).unwrap();
-        let par = union_contains_with(&schema, &m, &n, &forced_parallel(4)).unwrap();
+        let ps = PreparedSchema::new(&schema);
+        let serial = Engine::serial().union_contains(&ps, &m, &n).unwrap();
+        let par = Engine::new(forced_parallel(4))
+            .union_contains(&ps, &m, &n)
+            .unwrap();
         assert_eq!(serial, par, "seed {seed}");
     }
 }
@@ -163,8 +191,12 @@ fn satisfiable_expansion_matches_serial() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xe4a);
         let q = oocq::gen::random_positive(&mut rng, &schema, &QueryParams { vars: 3, atoms: 3 });
         let n = normalize(&q, &schema).unwrap();
-        let serial = expand_satisfiable_with(&schema, &n, &EngineConfig::serial()).unwrap();
-        let par = expand_satisfiable_with(&schema, &n, &forced_parallel(4)).unwrap();
+        let expand = |cfg: EngineConfig| {
+            let engine = Engine::new(cfg);
+            let ps = engine.prepare_schema(&schema);
+            engine.expand_satisfiable(&engine.prepare(&ps, &n)).unwrap()
+        };
+        let (serial, par) = (expand(EngineConfig::serial()), expand(forced_parallel(4)));
         assert_eq!(serial, par, "seed {seed}");
     }
 }
@@ -200,7 +232,7 @@ fn search_order_and_pruning_preserve_certificate_shapes() {
         let q1 = add_negative_atoms(&mut rng, &schema, &base1, (seed % 3) as usize);
         let q2 = add_negative_atoms(&mut rng, &schema, &base2, (seed % 4) as usize);
         let reference =
-            decide_containment_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
+            on_engine(&schema, &EngineConfig::serial(), &q1, &q2, Engine::decide).unwrap();
         let want = certificate_shape(&reference);
         let variants = [
             EngineConfig::serial().with_search_order(SearchOrder::Static),
@@ -213,7 +245,7 @@ fn search_order_and_pruning_preserve_certificate_shapes() {
                 .with_search_order(SearchOrder::Static),
         ];
         for (k, cfg) in variants.iter().enumerate() {
-            let got = decide_containment_with(&schema, &q1, &q2, cfg).unwrap();
+            let got = on_engine(&schema, cfg, &q1, &q2, Engine::decide).unwrap();
             assert_eq!(
                 want,
                 certificate_shape(&got),
@@ -306,8 +338,8 @@ fn oversubscribed_thread_count_is_safe() {
     let p = QueryParams { vars: 3, atoms: 4 };
     let q1 = random_terminal_positive(&mut rng, &schema, &p);
     let q2 = random_terminal_positive(&mut rng, &schema, &p);
-    let serial = decide_containment_with(&schema, &q1, &q2, &EngineConfig::serial()).unwrap();
-    let par = decide_containment_with(&schema, &q1, &q2, &forced_parallel(64)).unwrap();
+    let serial = on_engine(&schema, &EngineConfig::serial(), &q1, &q2, Engine::decide).unwrap();
+    let par = on_engine(&schema, &forced_parallel(64), &q1, &q2, Engine::decide).unwrap();
     assert_eq!(serial, par);
 }
 
@@ -371,13 +403,32 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
 
     // Unlimited: identical certificates on both workloads (baseline).
     for q2 in [&q2_holds, &q2_fails] {
-        let p = decide_containment_with(&schema, &q1, q2, &pruned(Budget::unlimited())).unwrap();
-        let e =
-            decide_containment_with(&schema, &q1, q2, &exhaustive(Budget::unlimited())).unwrap();
+        let p = on_engine(
+            &schema,
+            &pruned(Budget::unlimited()),
+            &q1,
+            q2,
+            Engine::decide,
+        )
+        .unwrap();
+        let e = on_engine(
+            &schema,
+            &exhaustive(Budget::unlimited()),
+            &q1,
+            q2,
+            Engine::decide,
+        )
+        .unwrap();
         assert_eq!(p, e, "certificates drift without budgets");
     }
-    let reference =
-        decide_containment_with(&schema, &q1, &q2_fails, &pruned(Budget::unlimited())).unwrap();
+    let reference = on_engine(
+        &schema,
+        &pruned(Budget::unlimited()),
+        &q1,
+        &q2_fails,
+        Engine::decide,
+    )
+    .unwrap();
     assert!(!reference.holds());
 
     // A one-unit work limit: both walks trip the identical recoverable
@@ -386,7 +437,7 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
         pruned(Budget::with_limit(1)),
         exhaustive(Budget::with_limit(1)),
     ] {
-        let err = decide_containment_with(&schema, &q1, &q2_holds, &cfg).unwrap_err();
+        let err = on_engine(&schema, &cfg, &q1, &q2_holds, Engine::decide).unwrap_err();
         assert!(
             err.to_string().starts_with("timeout"),
             "expected a recoverable timeout, got: {err}"
@@ -398,11 +449,12 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
     // branch's refutation: the exhaustive walk still trips on the holds
     // workload at this limit...
     const MID: u64 = 512;
-    let err = decide_containment_with(
+    let err = on_engine(
         &schema,
+        &exhaustive(Budget::with_limit(MID)),
         &q1,
         &q2_holds,
-        &exhaustive(Budget::with_limit(MID)),
+        Engine::decide,
     )
     .unwrap_err();
     assert!(err.to_string().starts_with("timeout"), "got: {err}");
@@ -413,7 +465,7 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
         pruned(Budget::with_limit(MID)),
         exhaustive(Budget::with_limit(MID)),
     ] {
-        let got = decide_containment_with(&schema, &q1, &q2_fails, &cfg).unwrap();
+        let got = on_engine(&schema, &cfg, &q1, &q2_fails, Engine::decide).unwrap();
         assert_eq!(got, reference, "refutation must outrank the budget trip");
     }
 
@@ -424,7 +476,7 @@ fn budgets_and_deadlines_bind_pruned_and_exhaustive_walks_identically() {
             pruned(Budget::with_deadline(Duration::ZERO)),
             exhaustive(Budget::with_deadline(Duration::ZERO)),
         ] {
-            let err = decide_containment_with(&schema, &q1, q2, &cfg).unwrap_err();
+            let err = on_engine(&schema, &cfg, &q1, q2, Engine::decide).unwrap_err();
             assert!(err.to_string().starts_with("timeout"), "got: {err}");
         }
     }

@@ -471,13 +471,15 @@ fn normalization_preserves_semantics() {
     }
 }
 
-/// The prepared [`oocq::Engine`] path returns verdicts identical to the
-/// free-function path across the generator workloads: terminal and general
-/// containment, equivalence, dispatch (including a non-terminal left side
-/// against a terminal right), positive containment, minimization, and
-/// satisfiable expansion.
+/// The prepared [`oocq::Engine`] path — the crate's only decision path —
+/// judged against references that share no decision code with it:
+/// terminal, positive and dispatched containment against the canonical-state
+/// characterization (per terminal branch of the expanded left side), general
+/// containment and equivalence against brute-force refutation on random
+/// states, minimization and satisfiable expansion by answer preservation,
+/// and satisfiability by a canonical witness or empty answers.
 #[test]
-fn engine_path_matches_free_functions() {
+fn engine_path_matches_independent_references() {
     let engine = oocq::Engine::serial();
     for seed in 0..48u64 {
         let schema = test_schema(seed);
@@ -489,51 +491,96 @@ fn engine_path_matches_free_functions() {
         let g1 = add_negative_atoms(&mut rng, &schema, &t1, 2);
         let g2 = add_negative_atoms(&mut rng, &schema, &t2, 2);
         let pos = random_positive(&mut rng, &schema, &QueryParams { vars: 3, atoms: 3 });
+        let states = state_family(
+            &mut rng,
+            &schema,
+            4,
+            &StateParams {
+                objects: 10,
+                fill_prob: 0.7,
+                max_set: 3,
+            },
+        );
 
         let (pt1, pt2) = (engine.prepare(&ps, &t1), engine.prepare(&ps, &t2));
         let (pg1, pg2) = (engine.prepare(&ps, &g1), engine.prepare(&ps, &g2));
         let ppos = engine.prepare(&ps, &pos);
 
+        // Corollary 3.4 against the frozen state (no state: q1 unsatisfiable).
+        let canonical =
+            |q1: &Query, q2: &Query| canonical_contains(&schema, q1, q2).unwrap_or(true);
         assert_eq!(
             engine.contains(&pt1, &pt2).unwrap(),
-            contains_terminal(&schema, &t1, &t2).unwrap(),
+            canonical(&t1, &t2),
             "seed {seed}: terminal containment"
         );
-        assert_eq!(
-            engine.contains(&pg1, &pg2).unwrap(),
-            contains_terminal(&schema, &g1, &g2).unwrap(),
-            "seed {seed}: general containment"
-        );
-        assert_eq!(
-            engine.equivalent(&pg1, &pg2).unwrap(),
-            oocq::equivalent_terminal(&schema, &g1, &g2).unwrap(),
-            "seed {seed}: equivalence"
-        );
+        // Theorem 4.1 over the terminal branches of the positive left side.
+        let branches = expand(&schema, &normalize(&pos, &schema).unwrap()).unwrap();
+        let covered = |q2: &Query| branches.iter().all(|sub| canonical(sub, q2));
         assert_eq!(
             engine.contains_positive(&ppos, &pt2).unwrap(),
-            oocq::contains_positive(&schema, &pos, &t2).unwrap(),
+            covered(&t2),
             "seed {seed}: positive containment"
         );
         assert_eq!(
             engine.dispatch(&ppos, &pt1).unwrap(),
-            oocq::dispatch_containment(&schema, &pos, &t1).unwrap(),
+            covered(&t1),
             "seed {seed}: dispatch"
         );
-        assert_eq!(
-            engine.minimize(&ppos),
-            minimize_positive(&schema, &pos),
-            "seed {seed}: minimization"
-        );
-        assert_eq!(
-            engine.expand_satisfiable(&ppos),
-            oocq::expand_satisfiable(&schema, &pos),
-            "seed {seed}: expansion"
-        );
-        assert_eq!(
-            engine.satisfiability(&pt1),
-            oocq::satisfiability(&schema, &t1),
-            "seed {seed}: satisfiability"
-        );
+        // Theorem 3.1 verdicts are never refuted on random states.
+        let refuted = |a: &Query, b: &Query| {
+            refute_containment(
+                &schema,
+                &states,
+                &UnionQuery::single(a.clone()),
+                &UnionQuery::single(b.clone()),
+            )
+            .is_some()
+        };
+        if engine.contains(&pg1, &pg2).unwrap() {
+            assert!(!refuted(&g1, &g2), "seed {seed}: general containment");
+        }
+        if engine.equivalent(&pg1, &pg2).unwrap() {
+            assert!(
+                !refuted(&g1, &g2) && !refuted(&g2, &g1),
+                "seed {seed}: equivalence"
+            );
+        }
+        // Minimization and satisfiable expansion preserve answers.
+        let minimized = engine.minimize(&ppos).unwrap();
+        let expanded = engine
+            .expand_satisfiable(&engine.prepare(&ps, &normalize(&pos, &schema).unwrap()))
+            .unwrap();
+        for st in &states {
+            let want = answer(&schema, st, &pos);
+            assert_eq!(
+                want,
+                answer_union(&schema, st, &minimized),
+                "seed {seed}: minimization"
+            );
+            assert_eq!(
+                want,
+                answer_union(&schema, st, &expanded),
+                "seed {seed}: expansion"
+            );
+        }
+        // Satisfiable: the canonical state witnesses it; otherwise no state
+        // answers the query.
+        if engine.satisfiability(&pt1).unwrap().is_satisfiable() {
+            let (st, free_obj) = oocq::canonical_state(&schema, &t1)
+                .expect("satisfiable terminal positive query freezes");
+            assert!(
+                answer(&schema, &st, &t1).contains(&free_obj),
+                "seed {seed}: satisfiability"
+            );
+        } else {
+            for st in &states {
+                assert!(
+                    answer(&schema, st, &t1).is_empty(),
+                    "seed {seed}: satisfiability"
+                );
+            }
+        }
     }
 }
 

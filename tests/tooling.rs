@@ -4,7 +4,8 @@
 
 use oocq::gen::StdRng;
 use oocq::gen::{random_schema, random_state, workload_schema, SchemaParams, StateParams};
-use oocq::{parse_schema, Optimizer, QueryBuilder};
+use oocq::{parse_schema, CanonicalDecisionCache, Engine, QueryBuilder};
+use std::sync::Arc;
 
 #[test]
 fn schema_dot_round_trips_through_generated_schemas() {
@@ -268,7 +269,9 @@ fn optimizer_session_over_a_workload() {
          class Client { R: {Vehicle}; } class Discount : Client { R: {Auto}; }",
     )
     .unwrap();
-    let mut opt = Optimizer::new(&s);
+    let cache = Arc::new(CanonicalDecisionCache::new(64));
+    let engine = Engine::from_env().with_cache(cache.clone());
+    let ps = engine.prepare_schema(&s);
     // A workload of repeated queries: each distinct query minimized once.
     let make = |cls: &str| {
         let mut b = QueryBuilder::new("x");
@@ -281,15 +284,14 @@ fn optimizer_session_over_a_workload() {
     };
     for _ in 0..5 {
         for cls in ["Vehicle", "Auto", "Truck"] {
-            let q = make(cls);
-            let m = opt.minimize(&q).unwrap();
+            let m = engine.minimize(&engine.prepare(&ps, &make(cls))).unwrap();
             match cls {
                 "Truck" => assert!(m.is_empty()), // unsatisfiable
                 _ => assert_eq!(m.len(), 1),
             }
         }
     }
-    let stats = opt.stats();
+    let stats = cache.stats();
     assert_eq!(stats.minimize_misses, 3);
     assert_eq!(stats.minimize_hits, 12);
 }
