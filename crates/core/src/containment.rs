@@ -218,6 +218,7 @@ pub fn dispatch_containment(schema: &Schema, qa: &Query, qb: &Query) -> Result<b
 mod tests {
     use super::*;
     use crate::engine::on_engine;
+    use crate::PreparedQuery;
     use oocq_query::QueryBuilder;
     use oocq_schema::samples;
     use std::time::Duration;
@@ -694,40 +695,33 @@ mod tests {
                 puts: 0.into(),
             }
         }
-        fn key(schema: &Schema, q1: &Query, q2: &Query) -> (String, String) {
+        fn key(p1: &PreparedQuery, p2: &PreparedQuery) -> (String, String) {
+            let schema = p1.schema().schema();
             (
-                q1.display(schema).to_string(),
-                q2.display(schema).to_string(),
+                p1.query().display(schema).to_string(),
+                p2.query().display(schema).to_string(),
             )
         }
     }
 
     impl crate::DecisionCache for CountingCache {
-        fn get_contains(&self, schema: &Schema, q1: &Query, q2: &Query) -> Option<bool> {
+        fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool> {
             use std::sync::atomic::Ordering::Relaxed;
             self.gets.fetch_add(1, Relaxed);
-            let hit = self
-                .store
-                .lock()
-                .unwrap()
-                .get(&Self::key(schema, q1, q2))
-                .copied();
+            let hit = self.store.lock().unwrap().get(&Self::key(p1, p2)).copied();
             if hit.is_some() {
                 self.hits.fetch_add(1, Relaxed);
             }
             hit
         }
-        fn put_contains(&self, schema: &Schema, q1: &Query, q2: &Query, holds: bool) {
+        fn put_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery, holds: bool) {
             self.puts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.store
-                .lock()
-                .unwrap()
-                .insert(Self::key(schema, q1, q2), holds);
+            self.store.lock().unwrap().insert(Self::key(p1, p2), holds);
         }
-        fn get_minimized(&self, _schema: &Schema, _q: &Query) -> Option<oocq_query::UnionQuery> {
+        fn get_minimized_prepared(&self, _p: &PreparedQuery) -> Option<oocq_query::UnionQuery> {
             None
         }
-        fn put_minimized(&self, _schema: &Schema, _q: &Query, _result: &oocq_query::UnionQuery) {}
+        fn put_minimized_prepared(&self, _p: &PreparedQuery, _result: &oocq_query::UnionQuery) {}
     }
 
     #[test]

@@ -517,7 +517,7 @@ pub(crate) fn compile_pair(
 mod tests {
     use super::*;
     use crate::engine::on_engine;
-    use crate::{DecisionCache, Engine};
+    use crate::{DecisionCache, Engine, PreparedQuery};
     use oocq_query::{QueryBuilder, UnionQuery};
     use oocq_schema::SchemaBuilder;
     use std::sync::atomic::AtomicUsize;
@@ -773,17 +773,17 @@ mod tests {
     }
 
     impl DecisionCache for CountingCache {
-        fn get_contains(&self, _s: &Schema, _q1: &Query, _q2: &Query) -> Option<bool> {
+        fn get_contains_prepared(&self, _p1: &PreparedQuery, _p2: &PreparedQuery) -> Option<bool> {
             self.gets.fetch_add(1, Ordering::Relaxed);
             None
         }
-        fn put_contains(&self, _s: &Schema, _q1: &Query, _q2: &Query, _holds: bool) {
+        fn put_contains_prepared(&self, _p1: &PreparedQuery, _p2: &PreparedQuery, _holds: bool) {
             self.puts.fetch_add(1, Ordering::Relaxed);
         }
-        fn get_minimized(&self, _s: &Schema, _q: &Query) -> Option<UnionQuery> {
+        fn get_minimized_prepared(&self, _p: &PreparedQuery) -> Option<UnionQuery> {
             None
         }
-        fn put_minimized(&self, _s: &Schema, _q: &Query, _r: &UnionQuery) {}
+        fn put_minimized_prepared(&self, _p: &PreparedQuery, _r: &UnionQuery) {}
     }
 
     #[test]

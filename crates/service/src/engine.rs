@@ -15,7 +15,7 @@ use crate::runner::run_program_with;
 use crate::verbs;
 use oocq_core::{Budget, DecisionCache, Engine, EngineConfig, PreparedQuery, PreparedSchema};
 use oocq_parser::{parse_program, parse_query, parse_schema};
-use oocq_query::{Query, UnionQuery};
+use oocq_query::UnionQuery;
 use oocq_schema::Schema;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -67,41 +67,6 @@ struct CountingView {
 }
 
 impl DecisionCache for CountingView {
-    fn get_contains(&self, s: &Schema, q1: &Query, q2: &Query) -> Option<bool> {
-        let r = self.inner.as_ref().and_then(|c| c.get_contains(s, q1, q2));
-        if r.is_some() {
-            self.hits.fetch_add(1, Relaxed);
-        }
-        r
-    }
-
-    fn put_contains(&self, s: &Schema, q1: &Query, q2: &Query, holds: bool) {
-        self.decided.fetch_add(1, Relaxed);
-        if let Some(c) = &self.inner {
-            c.put_contains(s, q1, q2, holds);
-        }
-    }
-
-    fn get_minimized(&self, s: &Schema, q: &Query) -> Option<UnionQuery> {
-        let r = self.inner.as_ref().and_then(|c| c.get_minimized(s, q));
-        if r.is_some() {
-            self.hits.fetch_add(1, Relaxed);
-        }
-        r
-    }
-
-    fn put_minimized(&self, s: &Schema, q: &Query, result: &UnionQuery) {
-        self.decided.fetch_add(1, Relaxed);
-        if let Some(c) = &self.inner {
-            c.put_minimized(s, q, result);
-        }
-    }
-
-    // Forward prepared lookups to the shared cache's prepared overrides so
-    // the memoized canonical forms and interned schema fingerprint are used
-    // for keying (the trait defaults would fall back to this view's plain
-    // methods and re-render both per lookup).
-
     fn get_contains_prepared(&self, p1: &PreparedQuery, p2: &PreparedQuery) -> Option<bool> {
         let r = self
             .inner

@@ -24,11 +24,13 @@
 #![deny(unsafe_code)]
 
 mod cache;
+mod conn;
 mod engine;
 mod flight;
 mod persist;
 pub mod poll;
 mod protocol;
+#[cfg(target_os = "linux")]
 pub mod reactor;
 mod runner;
 mod server;
@@ -38,6 +40,7 @@ pub use cache::{
     CacheStats, CanonicalDecisionCache, PersistStats, DEFAULT_CAPACITY, DEFAULT_DISK_CAPACITY,
     SHARD_COUNT,
 };
+pub use conn::IN_CAP;
 pub use engine::{ServiceEngine, Session, DEFAULT_MAX_CONNS};
 pub use flight::{FlightKey, FlightStats, JoinOutcome, Singleflight};
 pub use protocol::{escape, parse_request, render_response, unescape, Request, RequestStats};

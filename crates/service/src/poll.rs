@@ -1,22 +1,15 @@
-//! Minimal readiness polling for the serving reactor.
+//! Minimal readiness polling for the serving reactor (Linux).
 //!
-//! [`Poller`] is a thin, level-triggered readiness-notification facade: on
-//! Linux it is backed by `epoll` through direct FFI declarations against
-//! the C library the standard library already links (no external crate);
-//! elsewhere it degrades to a correctness-only fallback that reports every
-//! registered source ready after a short sleep — nonblocking I/O keeps
-//! that safe (spurious readiness just yields `WouldBlock`), but it polls
-//! instead of sleeping on kernel readiness, so the daemon only defaults
-//! to the reactor on Linux; other platforms keep the
-//! thread-per-connection loop unless `OOCQ_REACTOR=1` opts in explicitly.
-//! When idle the fallback backs off exponentially (1ms doubling to 64ms
-//! naps), resetting on [`Poller::note_progress`] from the reactor or any
-//! registration change, so a quiet daemon no longer busy-wakes ~1000×/s.
+//! [`Poller`] is a thin, level-triggered readiness-notification facade
+//! over `epoll`, through direct FFI declarations against the C library the
+//! standard library already links (no external crate). The reactor is
+//! Linux-only; elsewhere the daemon serves TCP thread-per-connection and
+//! needs no poller.
 //!
 //! The `sys` island below is the crate's single `#[allow(unsafe_code)]`
 //! region; besides epoll it carries the one-line `flock` shim behind
 //! [`try_exclusive_lock`], the persistent decision cache's single-writer
-//! directory lock.
+//! directory lock, which every platform needs.
 //!
 //! The facade is deliberately tiny — register / modify / deregister a raw
 //! fd under a `u64` token, then [`Poller::wait`] for `(token, readable,
@@ -31,9 +24,11 @@
 //! one byte.
 
 use std::io;
+#[cfg(target_os = "linux")]
 use std::os::fd::RawFd;
 
 /// One readiness event out of [`Poller::wait`].
+#[cfg(target_os = "linux")]
 #[derive(Debug, Clone, Copy)]
 pub struct PollEvent {
     /// The token the fd was registered under.
@@ -231,11 +226,6 @@ mod linux_impl {
             sys::ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
         }
 
-        /// Progress notification from the reactor (see the fallback
-        /// backend): epoll sleeps on real kernel readiness, so there is no
-        /// idle backoff to reset — this is a no-op.
-        pub fn note_progress(&self) {}
-
         /// Block until at least one event is ready or `timeout` elapses
         /// (`None` blocks indefinitely), appending events to `out`.
         pub fn wait(
@@ -272,117 +262,11 @@ mod linux_impl {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-pub use fallback_impl::Poller;
-
-// Compiled under `test` on every platform so the backoff behavior below is
-// exercised by the normal (Linux) CI run, not only on the platforms that
-// actually fall back to it.
-#[cfg(any(not(target_os = "linux"), test))]
-mod fallback_impl {
-    use super::PollEvent;
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    /// Shortest idle nap — the fallback's historical fixed poll period.
-    const MIN_NAP: Duration = Duration::from_millis(1);
-    /// Longest idle nap the backoff reaches. 64ms keeps an idle daemon
-    /// under ~16 wakeups/s (versus ~1000/s at a fixed 1ms) while bounding
-    /// the extra latency a request can see after a long quiet spell.
-    const MAX_NAP: Duration = Duration::from_millis(64);
-
-    /// Correctness-only fallback: every registered source is reported
-    /// ready after a short sleep. Spurious readiness is harmless under
-    /// nonblocking I/O; this backend polls instead of sleeping on kernel
-    /// readiness, which is why the daemon defaults to the
-    /// thread-per-connection loop on platforms without the epoll backend
-    /// (`OOCQ_REACTOR=1` opts into the reactor over this backend anyway,
-    /// e.g. for the test suite).
-    ///
-    /// Because the fabricated events make readiness counts meaningless,
-    /// the poller cannot see idleness in its own output — so it backs off
-    /// on its own (each wait doubles the nap toward [`MAX_NAP`]) and
-    /// relies on [`Poller::note_progress`] from the reactor, plus any
-    /// registration change, to reset to [`MIN_NAP`] when real work shows
-    /// up.
-    pub struct Poller {
-        registered: Mutex<HashMap<RawFd, u64>>,
-        idle_nap: Mutex<Duration>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registered: Mutex::new(HashMap::new()),
-                idle_nap: Mutex::new(MIN_NAP),
-            })
-        }
-
-        pub fn register(&self, fd: RawFd, token: u64, _r: bool, _w: bool) -> io::Result<()> {
-            self.registered.lock().unwrap().insert(fd, token);
-            self.note_progress();
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, _r: bool, _w: bool) -> io::Result<()> {
-            self.registered.lock().unwrap().insert(fd, token);
-            self.note_progress();
-            Ok(())
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.lock().unwrap().remove(&fd);
-            self.note_progress();
-            Ok(())
-        }
-
-        /// Reset the idle backoff: the reactor observed real progress
-        /// (worker completions, waker bytes), so poll densely again.
-        pub fn note_progress(&self) {
-            *self.idle_nap.lock().unwrap() = MIN_NAP;
-        }
-
-        /// The nap the next idle [`Poller::wait`] will take (diagnostic /
-        /// test aid).
-        pub fn idle_nap(&self) -> Duration {
-            *self.idle_nap.lock().unwrap()
-        }
-
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let nap = {
-                let mut idle = self.idle_nap.lock().unwrap();
-                let nap = match timeout {
-                    Some(t) => t.min(*idle),
-                    None => *idle,
-                };
-                *idle = idle.saturating_mul(2).min(MAX_NAP);
-                nap
-            };
-            std::thread::sleep(nap);
-            for (_, &token) in self.registered.lock().unwrap().iter() {
-                out.push(PollEvent {
-                    token,
-                    readable: true,
-                    writable: true,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
 /// Cross-thread wakeup for a blocked [`Poller::wait`]: a nonblocking
 /// socket pair whose read end is registered under a reserved token. Worker
 /// threads call [`Waker::wake`]; the reactor drains with
 /// [`WakeReceiver::drain`].
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub fn waker() -> io::Result<(Waker, WakeReceiver)> {
     use std::os::unix::net::UnixStream;
     let (tx, rx) = UnixStream::pair()?;
@@ -392,12 +276,12 @@ pub fn waker() -> io::Result<(Waker, WakeReceiver)> {
 }
 
 /// The writing half of the wakeup pair (cheap to clone).
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub struct Waker {
     tx: std::os::unix::net::UnixStream,
 }
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 impl Waker {
     /// Interrupt the poller. A full pipe means a wakeup is already
     /// pending, so `WouldBlock` (and any other error) is ignored.
@@ -415,12 +299,12 @@ impl Waker {
 }
 
 /// The reading half of the wakeup pair, owned by the reactor.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub struct WakeReceiver {
     rx: std::os::unix::net::UnixStream,
 }
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 impl WakeReceiver {
     /// The fd to register with the poller.
     pub fn raw_fd(&self) -> RawFd {
@@ -429,21 +313,15 @@ impl WakeReceiver {
     }
 
     /// Consume pending wakeup bytes so a level-triggered poller stops
-    /// reporting the channel ready. Returns how many bytes were drained —
-    /// nonzero means some worker really did signal since the last drain,
-    /// which the reactor feeds to [`Poller::note_progress`] (the fallback
-    /// poller cannot tell real readiness from its own fabricated events).
-    pub fn drain(&self) -> usize {
+    /// reporting the channel ready.
+    pub fn drain(&self) {
         use std::io::Read;
-        let mut total = 0;
         let mut buf = [0u8; 64];
         while let Ok(n) = (&self.rx).read(&mut buf) {
             if n == 0 {
                 break;
             }
-            total += n;
         }
-        total
     }
 }
 
@@ -473,7 +351,7 @@ pub(crate) fn try_exclusive_lock(file: &std::fs::File, newly_created: bool) -> i
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
@@ -530,7 +408,6 @@ mod tests {
         poller.deregister(server.as_raw_fd()).unwrap();
     }
 
-    #[cfg(unix)]
     #[test]
     fn waker_interrupts_a_blocked_wait() {
         let (tx, rx) = waker().unwrap();
@@ -558,73 +435,5 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(5)))
             .unwrap();
         assert!(events.is_empty(), "drained waker still ready: {events:?}");
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn waker_drain_reports_how_many_bytes_arrived() {
-        let (tx, rx) = waker().unwrap();
-        assert_eq!(rx.drain(), 0);
-        tx.wake();
-        tx.wake();
-        assert_eq!(rx.drain(), 2);
-        assert_eq!(rx.drain(), 0);
-    }
-
-    /// The sleep-poll fallback must not busy-wake an idle loop: with no
-    /// readiness activity each wait doubles its nap (1ms → 64ms cap), and
-    /// any progress note or registration change snaps it back to 1ms.
-    #[test]
-    fn fallback_poller_backs_off_while_idle_and_resets_on_progress() {
-        let mut poller = super::fallback_impl::Poller::new().unwrap();
-        // Token under a dummy fd — the fallback never touches the fd
-        // itself, it only reports what is registered.
-        poller.register(0, 42, true, false).unwrap();
-        assert_eq!(poller.idle_nap(), Duration::from_millis(1));
-
-        // Six idle waits sleep 1+2+4+8+16+32 ≥ 63ms in total: the loop
-        // provably sleeps rather than spinning at a fixed 1ms.
-        let start = std::time::Instant::now();
-        for _ in 0..6 {
-            let mut events = Vec::new();
-            poller.wait(&mut events, None).unwrap();
-            // Correctness is preserved: registered sources still report.
-            assert!(events.iter().any(|e| e.token == 42 && e.readable));
-        }
-        assert!(
-            start.elapsed() >= Duration::from_millis(63),
-            "idle waits only slept {:?}",
-            start.elapsed()
-        );
-        assert_eq!(poller.idle_nap(), Duration::from_millis(64));
-
-        // A caller-supplied timeout below the backoff bounds the nap.
-        let start = std::time::Instant::now();
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(2)))
-            .unwrap();
-        assert!(start.elapsed() < Duration::from_millis(60));
-
-        // The cap holds: napping never exceeds 64ms.
-        assert_eq!(poller.idle_nap(), Duration::from_millis(64));
-
-        // Real progress resets the backoff to dense polling…
-        poller.note_progress();
-        assert_eq!(poller.idle_nap(), Duration::from_millis(1));
-        let mut events = Vec::new();
-        poller.wait(&mut events, None).unwrap();
-        assert_eq!(poller.idle_nap(), Duration::from_millis(2));
-
-        // …and so does any registration change (new or retired source).
-        poller.modify(0, 43, true, true).unwrap();
-        assert_eq!(poller.idle_nap(), Duration::from_millis(1));
-        let mut events = Vec::new();
-        poller.wait(&mut events, None).unwrap();
-        poller.deregister(0).unwrap();
-        assert_eq!(poller.idle_nap(), Duration::from_millis(1));
-        let mut events2 = Vec::new();
-        poller.wait(&mut events2, None).unwrap();
-        assert!(events2.is_empty(), "deregistered fd still reported");
     }
 }

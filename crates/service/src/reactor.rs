@@ -1,23 +1,18 @@
-//! The event-driven TCP serving reactor.
+//! The event-driven TCP serving reactor (Linux).
 //!
-//! The thread-per-connection loop ([`crate::server::accept_loop`], kept
-//! behind `OOCQ_REACTOR=0` as a differential reference) spends one OS
-//! thread — and one whole worker pool — per peer, so ten thousand mostly
-//! idle connections cost ten thousand blocked threads. [`run`] replaces it
-//! with a single event loop: every socket is nonblocking and registered
-//! with a level-triggered [`crate::poll::Poller`]; each connection is a
-//! small line-buffer state machine; and *all* connections share one
-//! `OOCQ_THREADS` worker pool behind one bounded job queue.
+//! [`crate::server::accept_loop`] spends one OS thread — and one whole
+//! worker pool — per peer, so ten thousand mostly idle connections cost
+//! ten thousand blocked threads. [`run`] replaces it on Linux with a
+//! single event loop: every socket is nonblocking and registered with the
+//! level-triggered epoll [`crate::poll::Poller`], and *all* connections
+//! share one `OOCQ_THREADS` worker pool behind one bounded job queue.
 //!
-//! ## Determinism
-//!
-//! The per-connection protocol semantics are byte-identical to the
-//! blocking [`crate::serve`] loop (corpus replays pin this): sequence
-//! numbers are assigned in input order as lines are parsed, inline
-//! commands mutate session state at parse time, decision requests capture
-//! their session snapshot at parse time, and a per-connection reorder
-//! buffer emits responses strictly in sequence order no matter how the
-//! shared pool interleaves connections.
+//! Framing, sequencing, the inline verbs and the job runner are the shared
+//! connection core of [`crate::conn`], so a connection's transcript is
+//! byte-identical to the blocking [`crate::serve`] loop on the same bytes.
+//! What stays here is the transport: the nonblocking socket, the poller
+//! and each connection's interest set, a job the full queue handed back,
+//! and singleflight coalescing.
 //!
 //! ## Backpressure and fault isolation
 //!
@@ -27,14 +22,10 @@
 //! interest until completions drain (the client's unread input is the
 //! buffer, exactly like the blocking path). Per-connection output is
 //! likewise bounded: a peer that stops reading has its request parsing
-//! paused once its write buffer fills. A single line longer than the
-//! input cap can never complete, so it is answered `err line too long`
-//! and its remaining bytes are discarded through the next newline (or
-//! EOF) instead of wedging the connection. Worker panics are confined to
-//! their own request (`err internal …`), accept errors are classified
+//! paused once its write buffer fills. Accept errors are classified
 //! transient/fatal with exponential backoff that resets on success, and
-//! connections beyond `OOCQ_MAX_CONNS` are answered `err busy` and
-//! closed instead of accumulating.
+//! connections beyond `OOCQ_MAX_CONNS` are answered `err busy` and closed
+//! instead of accumulating.
 //!
 //! ## Singleflight coalescing
 //!
@@ -49,19 +40,18 @@
 //! expires is answered `err timeout` by the reactor without cancelling
 //! the leader.
 
-use crate::engine::{split_limit, ServiceEngine, Session};
+use crate::conn::{run_job, uncounted, Action, Job, LineFramer, Queue, Requests, Responses};
+use crate::engine::{split_limit, ServiceEngine};
 use crate::flight::{FlightKey, JoinOutcome, Singleflight};
 use crate::poll::{waker, PollEvent, Poller, WakeReceiver, Waker};
-use crate::protocol::{parse_request, render_response, Request, RequestStats};
-use crate::server::{busy_line, classify_accept_error, AcceptClass, Queue};
-use oocq_core::Budget;
+use crate::protocol::render_response;
+use crate::server::{busy_line, classify_accept_error, AcceptClass};
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Token of the listening socket.
@@ -72,10 +62,6 @@ const WAKER: u64 = 1;
 /// so a late completion for a closed connection cannot reach a new one.
 const FIRST_CONN: u64 = 2;
 
-/// Input buffered per connection before read interest is masked (the rest
-/// stays in the kernel socket buffer — level-triggered polling picks it
-/// back up once the backlog drains).
-const IN_CAP: usize = 1 << 20;
 /// Output buffered per connection before request parsing pauses (a peer
 /// that stops reading must not grow our heap).
 const OUT_CAP: usize = 1 << 20;
@@ -88,10 +74,7 @@ const BASE_BACKOFF: Duration = Duration::from_millis(10);
 /// One decision request in flight from a connection to the worker pool.
 struct ReactorJob {
     conn: u64,
-    seq: u64,
-    req: Request,
-    snapshot: Option<Arc<Session>>,
-    stats_on: bool,
+    job: Job,
 }
 
 /// A request parked behind a singleflight leader.
@@ -134,33 +117,15 @@ impl Board {
     }
 }
 
-/// One connection's state machine.
+/// One connection: the shared protocol core plus its socket state.
 struct Conn {
     stream: TcpStream,
-    /// Unconsumed input bytes (complete lines are parsed out eagerly).
-    inbuf: Vec<u8>,
+    framer: LineFramer,
+    requests: Requests,
+    responses: Responses,
     /// Response bytes not yet written, starting at `out_pos`.
     outbuf: Vec<u8>,
     out_pos: usize,
-    /// Sequence number the next parsed line will get.
-    next_seq: u64,
-    /// Sequence number the reorder buffer emits next.
-    next_emit: u64,
-    /// Out-of-order completed responses awaiting `next_emit`.
-    pending: HashMap<u64, String>,
-    /// Decision requests dispatched (or stalled) but not yet answered.
-    inflight: usize,
-    stats_on: bool,
-    /// No more input will be read (EOF, `quit`, or a read error).
-    read_done: bool,
-    /// A mid-stream read error to report, after buffered lines, as the
-    /// connection's final response.
-    read_err: Option<String>,
-    /// `quit` seen: discard any remaining buffered input.
-    quit: bool,
-    /// An oversized line was answered `err line too long`; its remaining
-    /// bytes are being discarded up to the next newline (or EOF).
-    discarding: bool,
     /// A job the full worker queue handed back; retried when completions
     /// drain. While set, the connection parses no further input.
     stalled: Option<ReactorJob>,
@@ -176,18 +141,11 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            inbuf: Vec::new(),
+            framer: LineFramer::new(),
+            requests: Requests::new(),
+            responses: Responses::new(),
             outbuf: Vec::new(),
             out_pos: 0,
-            next_seq: 0,
-            next_emit: 0,
-            pending: HashMap::new(),
-            inflight: 0,
-            stats_on: true,
-            read_done: false,
-            read_err: None,
-            quit: false,
-            discarding: false,
             stalled: None,
             want_read: true,
             want_write: false,
@@ -198,20 +156,34 @@ impl Conn {
     /// Hand a completed response to the reorder buffer; everything ready
     /// in sequence order moves to the output buffer.
     fn emit(&mut self, seq: u64, line: String) {
-        self.pending.insert(seq, line);
-        while let Some(l) = self.pending.remove(&self.next_emit) {
-            if !self.dead {
-                self.outbuf.extend_from_slice(l.as_bytes());
-                self.outbuf.push(b'\n');
+        let (outbuf, dead) = (&mut self.outbuf, self.dead);
+        self.responses.emit(seq, line, |l| {
+            if !dead {
+                outbuf.extend_from_slice(l.as_bytes());
+                outbuf.push(b'\n');
             }
-            self.next_emit += 1;
-        }
+        });
+    }
+
+    /// Decision requests dispatched (or stalled) but not yet answered.
+    fn inflight(&self) -> usize {
+        self.responses.backlog(self.requests.next_seq())
+    }
+
+    /// Will this connection read more bytes from its socket?
+    fn reading(&self) -> bool {
+        self.reading_frames() && !self.framer.eof()
+    }
+
+    /// Will this connection frame more request lines?
+    fn reading_frames(&self) -> bool {
+        !self.dead && !self.requests.quit()
     }
 
     /// Should this connection stop parsing (and reading) input for now?
     fn paused(&self, per_conn_cap: usize) -> bool {
         self.stalled.is_some()
-            || self.inflight >= per_conn_cap
+            || self.inflight() >= per_conn_cap
             || self.outbuf.len() - self.out_pos >= OUT_CAP
     }
 
@@ -240,17 +212,13 @@ impl Conn {
 
     /// Is this connection fully drained and ready to close?
     fn finished(&self) -> bool {
-        if self.inflight > 0 || self.stalled.is_some() {
+        if self.inflight() > 0 {
             return false;
         }
         if self.dead {
             return true;
         }
-        self.read_done
-            && self.read_err.is_none()
-            && self.inbuf.is_empty()
-            && self.pending.is_empty()
-            && self.out_pos >= self.outbuf.len()
+        (self.requests.quit() || self.framer.exhausted()) && self.out_pos >= self.outbuf.len()
     }
 }
 
@@ -273,10 +241,9 @@ pub fn run(
         notes: Mutex::new(Vec::new()),
         waker: wake_tx,
     };
-    let workers = engine.pool_threads().max(1);
     let mut result = Ok(());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..engine.pool_threads() {
             scope.spawn(|| worker_loop(engine, &queue, &flights, &board));
         }
         let mut ev = EventLoop {
@@ -294,37 +261,11 @@ pub fn run(
             listener_paused: false,
             listener_resume: None,
             accept_backoff: BASE_BACKOFF,
-            workers,
         };
         result = ev.run(stop);
         queue.close();
     });
     result
-}
-
-/// Execute one request under `catch_unwind` so a panic becomes that
-/// request's own error response (PR 5 contract) instead of a dead worker.
-fn run_job(
-    engine: &ServiceEngine,
-    req: &Request,
-    snapshot: Option<&Arc<Session>>,
-    budget: Budget,
-    start: Instant,
-) -> (Result<String, String>, RequestStats) {
-    match catch_unwind(AssertUnwindSafe(|| {
-        engine.execute_budgeted(req, snapshot, budget)
-    })) {
-        Ok(out) => out,
-        Err(_) => (
-            Err("internal: worker panicked executing this request".to_owned()),
-            RequestStats {
-                cached: 0,
-                decided: 0,
-                wall_us: start.elapsed().as_micros() as u64,
-                threads: engine.pool_threads(),
-            },
-        ),
-    }
 }
 
 /// A worker thread: pop jobs, coalesce coalescable ones through the
@@ -335,37 +276,23 @@ fn worker_loop(
     flights: &Singleflight<Waiter>,
     board: &Board,
 ) {
-    while let Some(job) = queue.pop() {
+    let threads = engine.pool_threads();
+    while let Some(ReactorJob { conn, job }) = queue.pop() {
         let start = Instant::now();
-        let ReactorJob {
-            conn,
-            seq,
-            req,
-            snapshot,
-            stats_on,
-        } = job;
-        let (inner, limit) = split_limit(&req);
+        let seq = job.seq;
+        let (inner, limit) = split_limit(&job.req);
         let budget = engine.request_budget(limit);
         // `limit=` requests never coalesce: their work accounting is
         // request-local by definition, and the engine must trip *their*
         // budget, not share a leader's.
         let key = if engine.coalescing() && limit.is_none() {
-            match engine.flight_key(inner, snapshot.as_ref(), &budget) {
+            match engine.flight_key(inner, job.snapshot.as_ref(), &budget) {
                 Ok(key) => key,
                 Err(msg) => {
                     // The canonical labeling itself tripped the budget.
-                    let stats = RequestStats {
-                        cached: 0,
-                        decided: 0,
-                        wall_us: start.elapsed().as_micros() as u64,
-                        threads: engine.pool_threads(),
-                    };
-                    let st = if stats_on { Some(&stats) } else { None };
-                    board.post(Note::Done {
-                        conn,
-                        seq,
-                        line: render_response(seq, &Err(msg), st),
-                    });
+                    let stats = uncounted(start, threads);
+                    let line = render_response(seq, &Err(msg), job.stats_on.then_some(&stats));
+                    board.post(Note::Done { conn, seq, line });
                     continue;
                 }
             }
@@ -373,19 +300,15 @@ fn worker_loop(
             None
         };
         let Some(key) = key else {
-            let (result, stats) = run_job(engine, inner, snapshot.as_ref(), budget, start);
-            let st = if stats_on { Some(&stats) } else { None };
-            board.post(Note::Done {
-                conn,
-                seq,
-                line: render_response(seq, &result, st),
-            });
+            let (result, stats) = run_job(engine, inner, job.snapshot.as_ref(), budget, start);
+            let line = render_response(seq, &result, job.stats_on.then_some(&stats));
+            board.post(Note::Done { conn, seq, line });
             continue;
         };
         match flights.join(&key, || Waiter {
             conn,
             seq,
-            stats_on,
+            stats_on: job.stats_on,
             start,
         }) {
             JoinOutcome::Joined => {
@@ -401,29 +324,20 @@ fn worker_loop(
                 }
             }
             JoinOutcome::Lead => {
-                let (result, stats) = run_job(engine, inner, snapshot.as_ref(), budget, start);
+                let (result, stats) = run_job(engine, inner, job.snapshot.as_ref(), budget, start);
                 // Collect waiters *before* posting anything: everyone
                 // parked behind this flight is answered from one verdict.
                 for w in flights.complete(&key) {
-                    let wstats = RequestStats {
-                        cached: 0,
-                        decided: 0,
-                        wall_us: w.start.elapsed().as_micros() as u64,
-                        threads: engine.pool_threads(),
-                    };
-                    let st = if w.stats_on { Some(&wstats) } else { None };
+                    let stats = uncounted(w.start, threads);
+                    let line = render_response(w.seq, &result, w.stats_on.then_some(&stats));
                     board.post(Note::Done {
                         conn: w.conn,
                         seq: w.seq,
-                        line: render_response(w.seq, &result, st),
+                        line,
                     });
                 }
-                let st = if stats_on { Some(&stats) } else { None };
-                board.post(Note::Done {
-                    conn,
-                    seq,
-                    line: render_response(seq, &result, st),
-                });
+                let line = render_response(seq, &result, job.stats_on.then_some(&stats));
+                board.post(Note::Done { conn, seq, line });
             }
         }
     }
@@ -449,7 +363,6 @@ struct EventLoop<'a> {
     listener_paused: bool,
     listener_resume: Option<Instant>,
     accept_backoff: Duration,
-    workers: usize,
 }
 
 impl EventLoop<'_> {
@@ -464,15 +377,7 @@ impl EventLoop<'_> {
             for ev in &events {
                 match ev.token {
                     LISTENER => accept_now = true,
-                    WAKER => {
-                        // A drained wake byte is real activity — the only
-                        // kind the sleep-poll fallback can't fabricate —
-                        // so it resets that backend's idle backoff (a
-                        // no-op on epoll).
-                        if self.wake_rx.drain() > 0 {
-                            self.poller.note_progress();
-                        }
-                    }
+                    WAKER => self.wake_rx.drain(),
                     token => {
                         dirty.insert(token);
                     }
@@ -481,12 +386,11 @@ impl EventLoop<'_> {
             // Drain completions every pass (not only on a waker event: the
             // wake byte may have coalesced into a previous drain).
             if self.apply_notes(&mut dirty) {
-                self.poller.note_progress();
                 // Queue slots freed: every stalled connection may proceed.
                 dirty.extend(
                     self.conns
                         .iter()
-                        .filter(|(_, c)| c.stalled.is_some() || c.paused(self.per_conn_cap))
+                        .filter(|(_, c)| c.paused(self.per_conn_cap))
                         .map(|(&t, _)| t),
                 );
             }
@@ -525,7 +429,6 @@ impl EventLoop<'_> {
                 Note::Done { conn, seq, line } => {
                     self.parked.remove(&(conn, seq));
                     if let Some(c) = self.conns.get_mut(&conn) {
-                        c.inflight -= 1;
                         c.emit(seq, line);
                         dirty.insert(conn);
                     }
@@ -571,17 +474,13 @@ impl EventLoop<'_> {
                 continue; // the leader's fan-out owns this response
             };
             if let Some(c) = self.conns.get_mut(&conn) {
-                c.inflight -= 1;
-                let stats = RequestStats {
-                    cached: 0,
-                    decided: 0,
-                    wall_us: w.start.elapsed().as_micros() as u64,
-                    threads: self.workers,
-                };
-                let st = if w.stats_on { Some(&stats) } else { None };
                 let msg =
                     "timeout: request deadline expired awaiting a coalesced result".to_owned();
-                c.emit(seq, render_response(seq, &Err(msg), st));
+                let stats = uncounted(w.start, self.engine.pool_threads());
+                c.emit(
+                    seq,
+                    render_response(seq, &Err(msg), w.stats_on.then_some(&stats)),
+                );
                 dirty.insert(conn);
             }
         }
@@ -668,10 +567,11 @@ impl EventLoop<'_> {
             return;
         };
         if conn.dead {
-            // The in-flight count still drains through Done notes; the
-            // stalled job never reached the queue, so account for it here.
-            if conn.stalled.take().is_some() {
-                conn.inflight -= 1;
+            // In-flight work still drains through Done notes; the stalled
+            // job never reached the queue, so its seq is settled here (a
+            // dead connection's output is discarded anyway).
+            if let Some(stalled) = conn.stalled.take() {
+                conn.emit(stalled.job.seq, String::new());
             }
         } else {
             if let Some(job) = conn.stalled.take() {
@@ -705,191 +605,49 @@ impl EventLoop<'_> {
         self.parked.retain(|&(c, _), _| c != token);
     }
 
-    /// Nonblocking read into the connection's input buffer, bounded by
-    /// `IN_CAP` and the pause predicate.
+    /// Nonblocking read into the connection's line framer, bounded by the
+    /// framer's line cap and the pause predicate.
     fn read_some(&self, conn: &mut Conn) {
-        if conn.read_done || conn.paused(self.per_conn_cap) {
+        if !conn.reading() || conn.paused(self.per_conn_cap) {
             return;
         }
         let mut buf = [0u8; 16 * 1024];
-        while conn.inbuf.len() < IN_CAP {
+        while conn.framer.wants_input() {
             match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.read_done = true;
-                    break;
-                }
-                Ok(n) => conn.inbuf.extend_from_slice(&buf[..n]),
+                Ok(0) => conn.framer.finish(None),
+                Ok(n) => conn.framer.push(&buf[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    // Report the error as the connection's final response
-                    // (after any complete buffered lines), mirroring the
-                    // blocking path's mid-stream read error contract.
-                    conn.read_done = true;
-                    conn.read_err = Some(format!("read error: {e}; closing connection"));
-                    break;
-                }
+                Err(e) => conn
+                    .framer
+                    .finish(Some(format!("read error: {e}; closing connection"))),
             }
         }
     }
 
-    /// Parse and handle every complete buffered line (plus the final
-    /// unterminated line at EOF, matching `BufRead::lines`), stopping when
-    /// the connection pauses.
+    /// Handle every framed request line through the shared core, stopping
+    /// when the connection pauses: inline answers go to the reorder buffer,
+    /// decisions to the shared pool (or, when its queue is full, parked on
+    /// the connection).
     fn process_lines(&self, token: u64, conn: &mut Conn) {
-        let mut consumed = 0usize;
-        loop {
-            if conn.quit || conn.dead {
-                consumed = conn.inbuf.len();
+        while conn.reading_frames() && !conn.paused(self.per_conn_cap) {
+            let Some(frame) = conn.framer.next_frame() else {
                 break;
-            }
-            // Discarding runs even while paused: it consumes bytes without
-            // dispatching jobs or growing the output buffer, and stopping
-            // it would let the oversized line pin the input buffer at its
-            // cap with read interest masked — the connection could never
-            // make progress again.
-            if conn.discarding {
-                match conn.inbuf[consumed..].iter().position(|&b| b == b'\n') {
-                    Some(idx) => {
-                        consumed += idx + 1;
-                        conn.discarding = false;
-                        continue;
-                    }
-                    None => {
-                        consumed = conn.inbuf.len();
-                        if conn.read_done {
-                            // EOF mid-discard: the unterminated tail
-                            // belongs to the already-answered oversized
-                            // line; only a read error still needs its
-                            // final response.
-                            if let Some(msg) = conn.read_err.take() {
-                                let seq = conn.next_seq;
-                                conn.next_seq += 1;
-                                conn.emit(seq, render_response(seq, &Err(msg), None));
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-            if conn.paused(self.per_conn_cap) {
-                break;
-            }
-            match conn.inbuf[consumed..].iter().position(|&b| b == b'\n') {
-                Some(idx) => {
-                    let start = consumed;
-                    let mut end = consumed + idx;
-                    consumed = end + 1;
-                    if end > start && conn.inbuf[end - 1] == b'\r' {
-                        end -= 1;
-                    }
-                    let line = String::from_utf8_lossy(&conn.inbuf[start..end]).into_owned();
-                    self.handle_line(token, conn, &line);
-                }
-                None => {
-                    // A line that has already outgrown the input buffer can
-                    // never complete (read interest would mask at the cap
-                    // and wedge the connection): answer it now, in sequence
-                    // order, and discard its bytes through the newline.
-                    if conn.inbuf.len() - consumed >= IN_CAP {
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        let msg =
-                            format!("line too long: request lines are capped at {IN_CAP} bytes");
-                        let stats = RequestStats {
-                            cached: 0,
-                            decided: 0,
-                            wall_us: 0,
-                            threads: self.workers,
-                        };
-                        let st = if conn.stats_on { Some(&stats) } else { None };
-                        conn.emit(seq, render_response(seq, &Err(msg), st));
-                        conn.discarding = true;
-                        continue;
-                    }
-                    if conn.read_done {
-                        if conn.read_err.is_none() && consumed < conn.inbuf.len() {
-                            let line =
-                                String::from_utf8_lossy(&conn.inbuf[consumed..]).into_owned();
-                            consumed = conn.inbuf.len();
-                            self.handle_line(token, conn, &line);
-                            continue;
-                        }
-                        consumed = conn.inbuf.len();
-                        if let Some(msg) = conn.read_err.take() {
-                            let seq = conn.next_seq;
-                            conn.next_seq += 1;
-                            conn.emit(seq, render_response(seq, &Err(msg), None));
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        conn.inbuf.drain(..consumed);
-    }
-
-    /// One request line: inline commands are answered (and session state
-    /// mutated) immediately in input order; decision requests capture
-    /// their snapshot now and go to the shared pool.
-    fn handle_line(&self, token: u64, conn: &mut Conn, line: &str) {
-        if line.trim().is_empty() {
-            return;
-        }
-        let start = Instant::now();
-        let parsed = parse_request(line);
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        let inline: Result<String, String> = match &parsed {
-            Err(e) => Err(e.clone()),
-            Ok(req) if req.is_decision() => match self.engine.snapshot_for(req) {
-                Ok(snapshot) => {
-                    conn.inflight += 1;
-                    let job = ReactorJob {
-                        conn: token,
-                        seq,
-                        req: req.clone(),
-                        snapshot,
-                        stats_on: conn.stats_on,
-                    };
-                    if let Err(job) = self.queue.try_push(job) {
+            };
+            let responses = &conn.responses;
+            let stats_show = |seq| {
+                self.engine
+                    .stats_report(&self.flights.stats(), responses.backlog(seq))
+            };
+            match conn.requests.handle(self.engine, frame, stats_show) {
+                Some(Action::Reply { seq, line }) => conn.emit(seq, line),
+                Some(Action::Decide(job)) => {
+                    if let Err(job) = self.queue.try_push(ReactorJob { conn: token, job }) {
                         conn.stalled = Some(job);
                     }
-                    return;
                 }
-                Err(e) => Err(e),
-            },
-            Ok(Request::Ping) => Ok("pong".to_owned()),
-            Ok(Request::Stats(on)) => {
-                conn.stats_on = *on;
-                Ok(format!("stats {}", if *on { "on" } else { "off" }))
+                None => {}
             }
-            Ok(Request::StatsShow) => Ok(self
-                .engine
-                .stats_report(&self.flights.stats(), conn.inflight)),
-            Ok(Request::Quit) => Ok("bye".to_owned()),
-            Ok(Request::DefineSchema { session, text }) => self.engine.define_schema(session, text),
-            Ok(Request::DefineQuery {
-                session,
-                name,
-                text,
-            }) => self.engine.define_query(session, name, text),
-            Ok(Request::DefineConstraint { session, text }) => {
-                self.engine.define_constraint(session, text)
-            }
-            Ok(other) => Err(format!("internal: unhandled request `{other:?}`")),
-        };
-        let stats = RequestStats {
-            cached: 0,
-            decided: 0,
-            wall_us: start.elapsed().as_micros() as u64,
-            threads: self.workers,
-        };
-        let st = if conn.stats_on { Some(&stats) } else { None };
-        conn.emit(seq, render_response(seq, &inline, st));
-        if matches!(parsed, Ok(Request::Quit)) {
-            conn.quit = true;
-            conn.read_done = true;
         }
     }
 
@@ -898,10 +656,8 @@ impl EventLoop<'_> {
     /// a paused connection stops reporting readable, a drained one stops
     /// reporting writable.
     fn update_interest(&self, token: u64, conn: &mut Conn) {
-        let want_read = !conn.read_done
-            && !conn.dead
-            && !conn.paused(self.per_conn_cap)
-            && conn.inbuf.len() < IN_CAP;
+        let want_read =
+            conn.reading() && !conn.paused(self.per_conn_cap) && conn.framer.wants_input();
         let want_write = !conn.dead && conn.out_pos < conn.outbuf.len();
         if (want_read, want_write) != (conn.want_read, conn.want_write) {
             match self
@@ -925,9 +681,11 @@ impl EventLoop<'_> {
 mod tests {
     use super::*;
     use crate::cache::CanonicalDecisionCache;
+    use crate::conn::IN_CAP;
     use oocq_core::EngineConfig;
     use std::io::BufReader;
     use std::net::TcpStream;
+    use std::sync::Arc;
 
     struct Harness {
         addr: std::net::SocketAddr,

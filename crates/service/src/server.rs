@@ -1,18 +1,17 @@
-//! The concurrent request loop of `oocq-serve`.
+//! The blocking serving loop of `oocq-serve` and its TCP accept loop.
 //!
-//! One dispatcher thread (the caller of [`serve`]) reads request lines,
-//! assigns each a sequence number in input order, executes definitional
-//! commands (`schema`, `query`, `stats`, `ping`, `quit`) inline, and hands
-//! decision requests — with the session snapshot they should see already
-//! captured — to a pool of `OOCQ_THREADS` workers. Workers push finished
-//! responses into a reorder buffer that writes them out strictly in
-//! sequence order, so the response stream is deterministic no matter how
-//! the pool interleaves.
+//! [`serve`] runs one connection over any `BufRead`/`Write` pair: stdin and
+//! stdout, or one TCP stream of [`accept_loop`]. The calling thread reads
+//! raw bytes, frames and handles request lines through the shared
+//! connection core ([`crate::conn`], which states the protocol rules once
+//! for both serving loops), and hands decision requests to a pool of
+//! `OOCQ_THREADS` workers. Workers push finished responses through the
+//! core's reorder buffer, which writes them strictly in sequence order.
 //!
 //! Fault isolation (see DESIGN.md §8):
 //!
 //! * the job queue is **bounded** ([`ServiceEngine::queue_bound`]): the
-//!   dispatcher blocks instead of buffering an unbounded backlog, which
+//!   reading thread blocks instead of buffering an unbounded backlog, which
 //!   propagates backpressure to the client through the unread input stream;
 //! * each job runs under **`catch_unwind`**: a panicking request becomes
 //!   its own `err internal …` response, so its sequence number is always
@@ -20,301 +19,121 @@
 //! * a **mid-stream read error** is answered with a final `err` line before
 //!   the connection closes, instead of a silent teardown.
 
-use crate::engine::{ServiceEngine, Session};
+use crate::conn::{Action, Job, LineFramer, Queue, Requests, Responses, POISONED};
+use crate::engine::ServiceEngine;
 use crate::flight::FlightStats;
-use crate::protocol::{parse_request, render_response, Request, RequestStats};
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, Write};
+use crate::protocol::render_response;
+use std::io::{BufRead, ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
-struct Job {
-    seq: u64,
-    req: Request,
-    snapshot: Option<Arc<Session>>,
-    stats_on: bool,
-}
-
-struct QueueState<T> {
-    jobs: VecDeque<T>,
-    closed: bool,
-}
-
-/// The dispatcher → worker job queue, bounded so a slow pool pushes back on
-/// the dispatcher (and through it, on the client's unread input) instead of
-/// buffering an unbounded backlog. Generic over the job type: [`serve`]
-/// queues per-connection jobs, the reactor queues cross-connection ones.
-pub(crate) struct Queue<T> {
-    state: Mutex<QueueState<T>>,
-    bound: usize,
-    /// Signals waiting workers that a job arrived (or the queue closed).
-    cond: Condvar,
-    /// Signals the blocked dispatcher that a slot freed up.
-    room: Condvar,
-}
-
-impl<T> Queue<T> {
-    pub(crate) fn new(bound: usize) -> Queue<T> {
-        Queue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            bound: bound.max(1),
-            cond: Condvar::new(),
-            room: Condvar::new(),
-        }
-    }
-
-    /// Blocks while the queue is full (workers always drain it, so this
-    /// cannot deadlock; `close` also wakes any blocked pusher).
-    pub(crate) fn push(&self, job: T) {
-        let mut st = self.state.lock().unwrap();
-        while st.jobs.len() >= self.bound && !st.closed {
-            st = self.room.wait(st).unwrap();
-        }
-        st.jobs.push_back(job);
-        self.cond.notify_one();
-    }
-
-    /// Nonblocking push for the reactor (which must never sleep on a lock):
-    /// a full queue hands the job back so the caller can park it.
-    pub(crate) fn try_push(&self, job: T) -> Result<(), T> {
-        let mut st = self.state.lock().unwrap();
-        if st.jobs.len() >= self.bound && !st.closed {
-            return Err(job);
-        }
-        st.jobs.push_back(job);
-        self.cond.notify_one();
-        Ok(())
-    }
-
-    /// Close the queue; workers drain remaining jobs and exit.
-    pub(crate) fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.cond.notify_all();
-        self.room.notify_all();
-    }
-
-    pub(crate) fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(job) = st.jobs.pop_front() {
-                self.room.notify_one();
-                return Some(job);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.cond.wait(st).unwrap();
-        }
-    }
-}
-
-struct EmitState<W: Write> {
-    next: u64,
-    pending: HashMap<u64, String>,
+/// The writing half of a blocking connection: the reorder buffer in front
+/// of the output stream, shared by the reading thread and the workers.
+struct Output<W: Write> {
+    responses: Responses,
     out: W,
     error: Option<std::io::Error>,
 }
 
-/// The reorder buffer: responses arrive in completion order, leave in
-/// sequence order.
-struct Emitter<W: Write> {
-    state: Mutex<EmitState<W>>,
-}
-
-impl<W: Write> Emitter<W> {
-    fn new(out: W) -> Emitter<W> {
-        Emitter {
-            state: Mutex::new(EmitState {
-                next: 0,
-                pending: HashMap::new(),
-                out,
-                error: None,
-            }),
-        }
-    }
-
-    fn emit(&self, seq: u64, line: String) {
-        let mut st = self.state.lock().unwrap();
-        if st.error.is_some() {
+impl<W: Write> Output<W> {
+    fn emit(&mut self, seq: u64, line: String) {
+        if self.error.is_some() {
             return;
         }
-        st.pending.insert(seq, line);
+        let (out, error) = (&mut self.out, &mut self.error);
         let mut wrote = false;
-        loop {
-            let next = st.next;
-            let Some(line) = st.pending.remove(&next) else {
-                break;
-            };
-            if let Err(e) = writeln!(st.out, "{line}") {
-                st.error = Some(e);
-                return;
+        self.responses.emit(seq, line, |l| {
+            if error.is_none() {
+                match writeln!(out, "{l}") {
+                    Ok(()) => wrote = true,
+                    Err(e) => *error = Some(e),
+                }
             }
-            st.next += 1;
-            wrote = true;
-        }
-        if wrote {
-            if let Err(e) = st.out.flush() {
-                st.error = Some(e);
+        });
+        if wrote && self.error.is_none() {
+            if let Err(e) = self.out.flush() {
+                self.error = Some(e);
             }
         }
     }
 
-    /// Flush the buffer at end of connection. Every seq is emitted even
-    /// when a job fails (see the `catch_unwind` in [`serve`]), so `pending`
-    /// is normally empty here — but if a future regression strands
-    /// responses behind a gap, write them out in sequence order rather
-    /// than silently dropping them.
-    fn finish(self) -> std::io::Result<()> {
-        let mut st = self.state.into_inner().unwrap();
-        if let Some(e) = st.error.take() {
+    fn finish(mut self) -> std::io::Result<()> {
+        if let Some(e) = self.error.take() {
             return Err(e);
         }
-        if !st.pending.is_empty() {
-            eprintln!(
-                "oocq-serve: {} response(s) stranded in reorder buffer",
-                st.pending.len()
-            );
-            let mut stranded: Vec<(u64, String)> = st.pending.drain().collect();
-            stranded.sort_unstable_by_key(|&(seq, _)| seq);
-            for (_, line) in stranded {
-                writeln!(st.out, "{line}")?;
+        let mut result = Ok(());
+        let out = &mut self.out;
+        self.responses.flush_stranded(|l| {
+            if result.is_ok() {
+                result = writeln!(out, "{l}");
             }
-        }
-        st.out.flush()
+        });
+        result?;
+        self.out.flush()
     }
 }
 
 /// Run the request loop over arbitrary streams until EOF or `quit`,
 /// blocking until every response has been written.
 pub fn serve<R: BufRead, W: Write + Send>(
-    input: R,
+    mut input: R,
     output: W,
     engine: &ServiceEngine,
 ) -> std::io::Result<()> {
-    let workers = engine.pool_threads().max(1);
-    let queue = Queue::new(engine.queue_bound());
-    let emitter = Emitter::new(output);
-    // Decision requests dispatched but not yet answered, so `stats show`
-    // can report this connection's live backlog like the reactor does.
-    let inflight = AtomicUsize::new(0);
+    let queue: Queue<Job> = Queue::new(engine.queue_bound());
+    let output = Mutex::new(Output {
+        responses: Responses::new(),
+        out: output,
+        error: None,
+    });
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..engine.pool_threads() {
             scope.spawn(|| {
                 while let Some(job) = queue.pop() {
-                    // A panic inside one request must not take the worker
-                    // (and with it, every queued seq) down: turn it into
-                    // this request's own error response. The engine holds
-                    // no locks across `execute`, so unwind safety here is
-                    // only about the panic payload, which we discard.
-                    let Job {
-                        seq,
-                        req,
-                        snapshot,
-                        stats_on,
-                    } = job;
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        engine.execute(&req, snapshot.as_ref())
-                    }));
-                    let line = match outcome {
-                        Ok((result, stats)) => {
-                            let st = if stats_on { Some(&stats) } else { None };
-                            render_response(seq, &result, st)
-                        }
-                        Err(_) => render_response(
-                            seq,
-                            &Err("internal: worker panicked executing this request".to_owned()),
-                            None,
-                        ),
-                    };
-                    emitter.emit(seq, line);
-                    inflight.fetch_sub(1, SeqCst);
+                    let line = job.run(engine);
+                    output.lock().expect(POISONED).emit(job.seq, line);
                 }
             });
         }
-
-        let mut seq = 0u64;
-        let mut stats_on = true;
-        for line in input.lines() {
-            let line = match line {
-                Ok(line) => line,
-                Err(e) => {
-                    // Tell the client why the stream ends instead of
-                    // closing silently mid-session.
-                    let resp: Result<String, String> =
-                        Err(format!("read error: {e}; closing connection"));
-                    emitter.emit(seq, render_response(seq, &resp, None));
-                    break;
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let start = Instant::now();
-            let parsed = parse_request(&line);
-            // Decision requests go to the pool; everything else — including
-            // parse errors — is answered inline so session state and the
-            // stats toggle stay in input order.
-            let inline: Result<String, String> = match &parsed {
-                Err(e) => Err(e.clone()),
-                Ok(req) if req.is_decision() => match engine.snapshot_for(req) {
-                    Ok(snapshot) => {
-                        inflight.fetch_add(1, SeqCst);
-                        queue.push(Job {
-                            seq,
-                            req: req.clone(),
-                            snapshot,
-                            stats_on,
-                        });
-                        seq += 1;
-                        continue;
+        let mut framer = LineFramer::new();
+        let mut requests = Requests::new();
+        // There is no singleflight table without the reactor, so the
+        // coalescing counters of `stats show` are legitimately zero; the
+        // backlog is live.
+        let stats_show = |seq: u64| {
+            let backlog = output.lock().expect(POISONED).responses.backlog(seq);
+            engine.stats_report(&FlightStats::default(), backlog)
+        };
+        'session: loop {
+            while let Some(frame) = framer.next_frame() {
+                match requests.handle(engine, frame, stats_show) {
+                    Some(Action::Reply { seq, line }) => {
+                        output.lock().expect(POISONED).emit(seq, line)
                     }
-                    Err(e) => Err(e),
-                },
-                Ok(Request::Ping) => Ok("pong".to_owned()),
-                Ok(Request::Stats(on)) => {
-                    stats_on = *on;
-                    Ok(format!("stats {}", if *on { "on" } else { "off" }))
+                    Some(Action::Decide(job)) => queue.push(job),
+                    None => {}
                 }
-                Ok(Request::Quit) => Ok("bye".to_owned()),
-                Ok(Request::DefineSchema { session, text }) => engine.define_schema(session, text),
-                Ok(Request::DefineQuery {
-                    session,
-                    name,
-                    text,
-                }) => engine.define_query(session, name, text),
-                Ok(Request::DefineConstraint { session, text }) => {
-                    engine.define_constraint(session, text)
+                if requests.quit() {
+                    break 'session;
                 }
-                // The blocking path has no singleflight table, so the
-                // coalescing counters are legitimately zero — but the
-                // decision backlog is real and reported live, like the
-                // reactor's per-connection count.
-                Ok(Request::StatsShow) => {
-                    Ok(engine.stats_report(&FlightStats::default(), inflight.load(SeqCst)))
-                }
-                Ok(other) => Err(format!("internal: unhandled request `{other:?}`")),
-            };
-            let stats = RequestStats {
-                cached: 0,
-                decided: 0,
-                wall_us: start.elapsed().as_micros() as u64,
-                threads: workers,
-            };
-            let st = if stats_on { Some(&stats) } else { None };
-            emitter.emit(seq, render_response(seq, &inline, st));
-            let quitting = matches!(parsed, Ok(Request::Quit));
-            seq += 1;
-            if quitting {
+            }
+            if framer.eof() {
                 break;
+            }
+            match input.fill_buf() {
+                Ok([]) => framer.finish(None),
+                Ok(bytes) => {
+                    let n = bytes.len();
+                    framer.push(bytes);
+                    input.consume(n);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => framer.finish(Some(format!("read error: {e}; closing connection"))),
             }
         }
         queue.close();
     });
-    emitter.finish()
+    output.into_inner().expect(POISONED).finish()
 }
 
 /// How an `accept` failure should be handled.
@@ -362,12 +181,13 @@ pub(crate) fn busy_line(max_conns: usize) -> String {
     )
 }
 
-/// The thread-per-connection TCP accept loop (`OOCQ_REACTOR=0`), kept as a
-/// differential reference for the reactor: one [`serve`] loop (and so one
-/// worker pool) per connection, a concurrent-connection cap answered with
-/// `err busy`, and accept-error classification with exponential backoff
-/// that resets after a successful accept. Returns when `stop` is set (and
-/// every connection thread has finished) or on a fatal accept error.
+/// The thread-per-connection TCP accept loop: one [`serve`] loop (and so
+/// one worker pool) per connection, a concurrent-connection cap answered
+/// with `err busy`, and accept-error classification with exponential
+/// backoff that resets after a successful accept. It is the only TCP path
+/// off Linux, and the reference the reactor is checked against on Linux
+/// (`tests/reactor.rs`, B11). Returns when `stop` is set (and every
+/// connection thread has finished) or on a fatal accept error.
 pub fn accept_loop(
     listener: &std::net::TcpListener,
     engine: &ServiceEngine,
@@ -433,36 +253,29 @@ pub fn accept_loop(
 
 /// Entry point of the `oocq-serve` binary: serve stdin/stdout, or — when
 /// `OOCQ_LISTEN=<addr:port>` is set — accept TCP connections over a shared
-/// engine (and shared cache). On Linux, TCP connections are multiplexed by
-/// the event-driven reactor by default (`OOCQ_REACTOR=0` selects the
-/// legacy thread-per-connection loop); elsewhere the poller has only a
-/// spin-polling fallback backend, so thread-per-connection is the default
-/// and `OOCQ_REACTOR=1` opts into the reactor explicitly.
+/// engine (and shared cache): through the event-driven reactor on Linux,
+/// through the thread-per-connection [`accept_loop`] elsewhere.
 pub fn daemon_main() -> std::io::Result<()> {
     let engine = Arc::new(ServiceEngine::from_env());
     match std::env::var("OOCQ_LISTEN") {
         Ok(addr) if !addr.trim().is_empty() => {
             let listener = std::net::TcpListener::bind(addr.trim())?;
-            let reactor = std::env::var("OOCQ_REACTOR")
-                .map(|v| v.trim() != "0")
-                .unwrap_or(cfg!(target_os = "linux"));
             eprintln!(
                 "oocq-serve listening on {} ({}, {} worker threads, max {} connections)",
                 listener.local_addr()?,
-                if reactor {
+                if cfg!(target_os = "linux") {
                     "reactor"
                 } else {
                     "thread-per-connection"
                 },
-                engine.pool_threads().max(1),
+                engine.pool_threads(),
                 engine.max_conns(),
             );
             let stop = AtomicBool::new(false);
-            if reactor {
-                crate::reactor::run(&listener, &engine, &stop)
-            } else {
-                accept_loop(&listener, &engine, &stop)
-            }
+            #[cfg(target_os = "linux")]
+            return crate::reactor::run(&listener, &engine, &stop);
+            #[cfg(not(target_os = "linux"))]
+            return accept_loop(&listener, &engine, &stop);
         }
         _ => serve(std::io::stdin().lock(), std::io::stdout(), &engine),
     }
@@ -714,15 +527,5 @@ mod tests {
             out.ends_with("[2] err read error: peer vanished; closing connection\n"),
             "{out}"
         );
-    }
-
-    #[test]
-    fn finish_flushes_stranded_responses_instead_of_dropping_them() {
-        let mut out = Vec::new();
-        let emitter = Emitter::new(&mut out);
-        // Seq 0 never arrives, so seq 1 is stuck in the reorder buffer.
-        emitter.emit(1, "[1] ok late".to_owned());
-        emitter.finish().unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), "[1] ok late\n");
     }
 }

@@ -29,7 +29,7 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
     echo "ci: failure-path suite"
     cargo test -q -p oocq-core -- budget times_out timeout
     cargo test -q -p oocq-service -- timeout times_out panicking queue_bound \
-        read_error stranded interner
+        read_error stranded transport_parity
     cargo test -q --test tooling -- oocq_serve_honors_a_request_deadline
     # Pruning gate: bench_prune carries in-binary >=10x branch-reduction
     # floors; a quick run keeps the sub-lattice pruner and the
@@ -79,8 +79,8 @@ if [ "${OOCQ_CI_SKIP_HEAVY:-0}" != "1" ]; then
         --iterations 500 --min-confirm 0.5
     # Serving gate: bench_load carries in-binary floors for singleflight
     # coalescing (>=5x the uncoalesced hot-key throughput); the quick
-    # preset exercises the reactor, the legacy accept loop, and the
-    # coalescing path end to end over real sockets.
+    # preset exercises the reactor, the thread-per-connection accept loop,
+    # and the coalescing path end to end over real sockets.
     echo "ci: bench_load smoke (quick mode)"
     OOCQ_BENCH_QUICK=1 cargo run --release -q --bin bench_load \
         -- target/BENCH_load_smoke.json

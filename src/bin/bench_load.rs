@@ -9,9 +9,10 @@
 //!
 //! * **reactor / thread_per_conn** — the same cheap cached-containment
 //!   workload pipelined over many concurrent connections through the
-//!   event-driven reactor (`OOCQ_REACTOR=1`) and the legacy
-//!   thread-per-connection loop (`OOCQ_REACTOR=0`). At high connection
-//!   counts the legacy path pays a thread (plus a worker pool) per
+//!   event-driven reactor (`oocq_service::reactor::run`, the daemon's TCP
+//!   path on Linux) and the thread-per-connection loop
+//!   (`oocq_service::accept_loop`, its TCP path elsewhere). At high
+//!   connection counts the latter pays a thread (plus a worker pool) per
 //!   connection; the reactor multiplexes everything over one fixed pool.
 //! * **coalesced / uncoalesced** — every connection hammers the *same*
 //!   expensive containment check with the decision cache disabled, with
@@ -28,464 +29,482 @@
 //! `OOCQ_BENCH_QUICK=1` selects a small smoke preset (fewer connections,
 //! reactor-vs-legacy floor relaxed to parity — contention ratios need the
 //! full preset to be meaningful).
+//!
+//! The reactor and the poller the client multiplexes with are Linux-only;
+//! elsewhere the binary exits with status 2.
 
-use oocq_core::EngineConfig;
-use oocq_service::poll::{PollEvent, Poller};
-use oocq_service::{accept_loop, CanonicalDecisionCache, ServiceEngine};
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+#[cfg(target_os = "linux")]
+fn main() {
+    b11::main();
+}
 
-/// The cheap workload: a containment that is a warm cache hit after the
-/// first request, so the serving layer (not the engine) dominates.
-const CHEAP_SCHEMA: &str = "class C {}";
-const CHEAP_QUERY: &str = "{ x | x in C }";
-const CHEAP_REQUEST: &str = "contains s Q Q";
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("bench_load: B11 drives the epoll reactor, which is Linux-only");
+    std::process::exit(2);
+}
 
-/// The hot-key workload: a `Strategy::Full` containment whose branch walk
-/// costs a few milliseconds cold — and the cache is disabled, so without
-/// coalescing every request pays it.
-const HOT_SCHEMA: &str = "class C { items: {C}; }";
-const HOT_LEFT: &str = "{ x | exists y0, y1, u, z0, z1, z2: x in C & y0 in C & y0 in x.items \
+#[cfg(target_os = "linux")]
+mod b11 {
+    use oocq_core::EngineConfig;
+    use oocq_service::poll::{PollEvent, Poller};
+    use oocq_service::{accept_loop, CanonicalDecisionCache, ServiceEngine};
+    use std::collections::VecDeque;
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// The cheap workload: a containment that is a warm cache hit after the
+    /// first request, so the serving layer (not the engine) dominates.
+    const CHEAP_SCHEMA: &str = "class C {}";
+    const CHEAP_QUERY: &str = "{ x | x in C }";
+    const CHEAP_REQUEST: &str = "contains s Q Q";
+
+    /// The hot-key workload: a `Strategy::Full` containment whose branch walk
+    /// costs a few milliseconds cold — and the cache is disabled, so without
+    /// coalescing every request pays it.
+    const HOT_SCHEMA: &str = "class C { items: {C}; }";
+    const HOT_LEFT: &str = "{ x | exists y0, y1, u, z0, z1, z2: x in C & y0 in C & y0 in x.items \
                         & y1 in C & y1 in x.items & u in C & u not in x.items \
                         & z0 in C & z1 in C & z2 in C }";
-const HOT_RIGHT: &str = "{ x | exists y, u2: x in C & y in C & u2 in C & y in x.items \
+    const HOT_RIGHT: &str = "{ x | exists y, u2: x in C & y in C & u2 in C & y in x.items \
                          & u2 not in x.items & y != u2 }";
-const HOT_REQUEST: &str = "contains s P Q";
+    const HOT_REQUEST: &str = "contains s P Q";
 
-struct Preset {
-    connections: usize,
-    requests_per_conn: usize,
-    pipeline_depth: usize,
-    hot_connections: usize,
-    hot_requests_per_conn: usize,
-    /// The reactor-vs-legacy floor only binds at the full preset: at smoke
-    /// scale there is no contention for the reactor to win.
-    reactor_floor: f64,
-}
-
-impl Preset {
-    fn from_env() -> Preset {
-        if std::env::var("OOCQ_BENCH_QUICK").is_ok_and(|v| v.trim() == "1") {
-            Preset {
-                connections: 96,
-                requests_per_conn: 5,
-                pipeline_depth: 2,
-                hot_connections: 16,
-                hot_requests_per_conn: 3,
-                reactor_floor: 0.0,
-            }
-        } else {
-            Preset {
-                connections: 1000,
-                requests_per_conn: 20,
-                pipeline_depth: 4,
-                hot_connections: 64,
-                hot_requests_per_conn: 8,
-                reactor_floor: 2.0,
-            }
-        }
-    }
-}
-
-/// An in-process server in either serving mode; stops and joins on drop.
-struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-}
-
-impl Server {
-    fn start(engine: ServiceEngine, reactor: bool) -> Server {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            if reactor {
-                oocq_service::reactor::run(&listener, &engine, &stop2)
-            } else {
-                accept_loop(&listener, &engine, &stop2)
-            }
-        });
-        Server {
-            addr,
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop.store(true, SeqCst);
-        if let Some(h) = self.handle.take() {
-            h.join().unwrap().expect("server loop failed");
-        }
-    }
-}
-
-/// One client connection's state in the poll-multiplexed load generator.
-struct ClientConn {
-    stream: TcpStream,
-    outbuf: Vec<u8>,
-    out_pos: usize,
-    inbuf: Vec<u8>,
-    /// Requests written but unanswered, oldest first (send timestamps).
-    awaiting: VecDeque<Instant>,
-    sent: usize,
-    done: usize,
-    /// Still draining the untimed `stats off` handshake ack.
-    in_setup: bool,
-    want_write: bool,
-}
-
-impl ClientConn {
-    fn queue(&mut self, line: &str) {
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
+    struct Preset {
+        connections: usize,
+        requests_per_conn: usize,
+        pipeline_depth: usize,
+        hot_connections: usize,
+        hot_requests_per_conn: usize,
+        /// The reactor-vs-legacy floor only binds at the full preset: at smoke
+        /// scale there is no contention for the reactor to win.
+        reactor_floor: f64,
     }
 
-    fn flush(&mut self) {
-        while self.out_pos < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.out_pos..]) {
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => panic!("client write failed: {e}"),
-            }
-        }
-        if self.out_pos >= self.outbuf.len() {
-            self.outbuf.clear();
-            self.out_pos = 0;
-        }
-    }
-}
-
-struct Phase {
-    name: &'static str,
-    mode: &'static str,
-    connections: usize,
-    requests: usize,
-    wall: Duration,
-    /// Per-request latencies in nanoseconds, sorted ascending.
-    latencies: Vec<u64>,
-}
-
-impl Phase {
-    fn rps(&self) -> f64 {
-        self.requests as f64 / self.wall.as_secs_f64()
-    }
-
-    fn percentile_us(&self, p: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let idx =
-            ((self.latencies.len() as f64 * p).ceil() as usize).clamp(1, self.latencies.len()) - 1;
-        self.latencies[idx] as f64 / 1000.0
-    }
-}
-
-/// Drive `connections` pipelined connections, each sending
-/// `requests_per_conn` copies of `request` with up to `depth` in flight,
-/// against `addr`. Returns wall time and per-request latencies. The
-/// connect + `stats off` handshake is excluded from the measurement.
-fn run_phase(
-    name: &'static str,
-    mode: &'static str,
-    addr: SocketAddr,
-    connections: usize,
-    requests_per_conn: usize,
-    depth: usize,
-    request: &str,
-) -> Phase {
-    let mut poller = Poller::new().expect("poller");
-    let mut conns = Vec::with_capacity(connections);
-    for token in 0..connections {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).ok();
-        stream.set_nonblocking(true).expect("nonblocking client");
-        poller
-            .register(stream.as_raw_fd(), token as u64, true, false)
-            .expect("register client");
-        let mut conn = ClientConn {
-            stream,
-            outbuf: Vec::new(),
-            out_pos: 0,
-            inbuf: Vec::new(),
-            awaiting: VecDeque::new(),
-            sent: 0,
-            done: 0,
-            in_setup: true,
-            want_write: false,
-        };
-        conn.queue("stats off");
-        conn.flush();
-        conns.push(conn);
-    }
-
-    let mut latencies: Vec<u64> = Vec::with_capacity(connections * requests_per_conn);
-    let mut events: Vec<PollEvent> = Vec::new();
-    let mut outstanding = connections * requests_per_conn;
-    let mut setup_left = connections;
-    let mut started: Option<Instant> = None;
-    let mut buf = [0u8; 16 * 1024];
-    while outstanding > 0 {
-        // The measured clock starts once every handshake ack is in.
-        if setup_left == 0 && started.is_none() {
-            let now = Instant::now();
-            started = Some(now);
-            for conn in conns.iter_mut() {
-                while conn.sent < requests_per_conn && conn.awaiting.len() < depth {
-                    conn.queue(request);
-                    conn.awaiting.push_back(Instant::now());
-                    conn.sent += 1;
+    impl Preset {
+        fn from_env() -> Preset {
+            if std::env::var("OOCQ_BENCH_QUICK").is_ok_and(|v| v.trim() == "1") {
+                Preset {
+                    connections: 96,
+                    requests_per_conn: 5,
+                    pipeline_depth: 2,
+                    hot_connections: 16,
+                    hot_requests_per_conn: 3,
+                    reactor_floor: 0.0,
                 }
-                conn.flush();
+            } else {
+                Preset {
+                    connections: 1000,
+                    requests_per_conn: 20,
+                    pipeline_depth: 4,
+                    hot_connections: 64,
+                    hot_requests_per_conn: 8,
+                    reactor_floor: 2.0,
+                }
             }
         }
-        events.clear();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(200)))
-            .expect("poll wait");
-        for ev in &events {
-            let conn = &mut conns[ev.token as usize];
-            if ev.writable {
-                conn.flush();
+    }
+
+    /// An in-process server in either serving mode; stops and joins on drop.
+    struct Server {
+        addr: SocketAddr,
+        stop: Arc<AtomicBool>,
+        handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+    }
+
+    impl Server {
+        fn start(engine: ServiceEngine, reactor: bool) -> Server {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let addr = listener.local_addr().unwrap();
+            let stop = Arc::new(AtomicBool::new(false));
+            let stop2 = stop.clone();
+            let handle = std::thread::spawn(move || {
+                if reactor {
+                    oocq_service::reactor::run(&listener, &engine, &stop2)
+                } else {
+                    accept_loop(&listener, &engine, &stop2)
+                }
+            });
+            Server {
+                addr,
+                stop,
+                handle: Some(handle),
             }
-            if !ev.readable {
-                continue;
+        }
+    }
+
+    impl Drop for Server {
+        fn drop(&mut self) {
+            self.stop.store(true, SeqCst);
+            if let Some(h) = self.handle.take() {
+                h.join().unwrap().expect("server loop failed");
             }
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => panic!("{name}: server closed connection {} early", ev.token),
-                    Ok(n) => conn.inbuf.extend_from_slice(&buf[..n]),
+        }
+    }
+
+    /// One client connection's state in the poll-multiplexed load generator.
+    struct ClientConn {
+        stream: TcpStream,
+        outbuf: Vec<u8>,
+        out_pos: usize,
+        inbuf: Vec<u8>,
+        /// Requests written but unanswered, oldest first (send timestamps).
+        awaiting: VecDeque<Instant>,
+        sent: usize,
+        done: usize,
+        /// Still draining the untimed `stats off` handshake ack.
+        in_setup: bool,
+        want_write: bool,
+    }
+
+    impl ClientConn {
+        fn queue(&mut self, line: &str) {
+            self.outbuf.extend_from_slice(line.as_bytes());
+            self.outbuf.push(b'\n');
+        }
+
+        fn flush(&mut self) {
+            while self.out_pos < self.outbuf.len() {
+                match self.stream.write(&self.outbuf[self.out_pos..]) {
+                    Ok(n) => self.out_pos += n,
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => panic!("{name}: client read failed: {e}"),
+                    Err(e) => panic!("client write failed: {e}"),
                 }
             }
-            // Consume every complete response line buffered so far.
-            let mut consumed = 0;
-            while let Some(idx) = conn.inbuf[consumed..].iter().position(|&b| b == b'\n') {
-                let line = String::from_utf8_lossy(&conn.inbuf[consumed..consumed + idx]);
-                assert!(
-                    line.contains("] ok "),
-                    "{name}: request failed on connection {}: {line}",
-                    ev.token
-                );
-                consumed += idx + 1;
-                if conn.in_setup {
-                    conn.in_setup = false;
-                    setup_left -= 1;
+            if self.out_pos >= self.outbuf.len() {
+                self.outbuf.clear();
+                self.out_pos = 0;
+            }
+        }
+    }
+
+    struct Phase {
+        name: &'static str,
+        mode: &'static str,
+        connections: usize,
+        requests: usize,
+        wall: Duration,
+        /// Per-request latencies in nanoseconds, sorted ascending.
+        latencies: Vec<u64>,
+    }
+
+    impl Phase {
+        fn rps(&self) -> f64 {
+            self.requests as f64 / self.wall.as_secs_f64()
+        }
+
+        fn percentile_us(&self, p: f64) -> f64 {
+            if self.latencies.is_empty() {
+                return 0.0;
+            }
+            let idx = ((self.latencies.len() as f64 * p).ceil() as usize)
+                .clamp(1, self.latencies.len())
+                - 1;
+            self.latencies[idx] as f64 / 1000.0
+        }
+    }
+
+    /// Drive `connections` pipelined connections, each sending
+    /// `requests_per_conn` copies of `request` with up to `depth` in flight,
+    /// against `addr`. Returns wall time and per-request latencies. The
+    /// connect + `stats off` handshake is excluded from the measurement.
+    fn run_phase(
+        name: &'static str,
+        mode: &'static str,
+        addr: SocketAddr,
+        connections: usize,
+        requests_per_conn: usize,
+        depth: usize,
+        request: &str,
+    ) -> Phase {
+        let mut poller = Poller::new().expect("poller");
+        let mut conns = Vec::with_capacity(connections);
+        for token in 0..connections {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).ok();
+            stream.set_nonblocking(true).expect("nonblocking client");
+            poller
+                .register(stream.as_raw_fd(), token as u64, true, false)
+                .expect("register client");
+            let mut conn = ClientConn {
+                stream,
+                outbuf: Vec::new(),
+                out_pos: 0,
+                inbuf: Vec::new(),
+                awaiting: VecDeque::new(),
+                sent: 0,
+                done: 0,
+                in_setup: true,
+                want_write: false,
+            };
+            conn.queue("stats off");
+            conn.flush();
+            conns.push(conn);
+        }
+
+        let mut latencies: Vec<u64> = Vec::with_capacity(connections * requests_per_conn);
+        let mut events: Vec<PollEvent> = Vec::new();
+        let mut outstanding = connections * requests_per_conn;
+        let mut setup_left = connections;
+        let mut started: Option<Instant> = None;
+        let mut buf = [0u8; 16 * 1024];
+        while outstanding > 0 {
+            // The measured clock starts once every handshake ack is in.
+            if setup_left == 0 && started.is_none() {
+                let now = Instant::now();
+                started = Some(now);
+                for conn in conns.iter_mut() {
+                    while conn.sent < requests_per_conn && conn.awaiting.len() < depth {
+                        conn.queue(request);
+                        conn.awaiting.push_back(Instant::now());
+                        conn.sent += 1;
+                    }
+                    conn.flush();
+                }
+            }
+            events.clear();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(200)))
+                .expect("poll wait");
+            for ev in &events {
+                let conn = &mut conns[ev.token as usize];
+                if ev.writable {
+                    conn.flush();
+                }
+                if !ev.readable {
                     continue;
                 }
-                let sent_at = conn.awaiting.pop_front().expect("unsolicited response");
-                latencies.push(sent_at.elapsed().as_nanos() as u64);
-                conn.done += 1;
-                outstanding -= 1;
-                if conn.sent < requests_per_conn {
-                    conn.queue(request);
-                    conn.awaiting.push_back(Instant::now());
-                    conn.sent += 1;
+                loop {
+                    match conn.stream.read(&mut buf) {
+                        Ok(0) => panic!("{name}: server closed connection {} early", ev.token),
+                        Ok(n) => conn.inbuf.extend_from_slice(&buf[..n]),
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                        Err(e) => panic!("{name}: client read failed: {e}"),
+                    }
+                }
+                // Consume every complete response line buffered so far.
+                let mut consumed = 0;
+                while let Some(idx) = conn.inbuf[consumed..].iter().position(|&b| b == b'\n') {
+                    let line = String::from_utf8_lossy(&conn.inbuf[consumed..consumed + idx]);
+                    assert!(
+                        line.contains("] ok "),
+                        "{name}: request failed on connection {}: {line}",
+                        ev.token
+                    );
+                    consumed += idx + 1;
+                    if conn.in_setup {
+                        conn.in_setup = false;
+                        setup_left -= 1;
+                        continue;
+                    }
+                    let sent_at = conn.awaiting.pop_front().expect("unsolicited response");
+                    latencies.push(sent_at.elapsed().as_nanos() as u64);
+                    conn.done += 1;
+                    outstanding -= 1;
+                    if conn.sent < requests_per_conn {
+                        conn.queue(request);
+                        conn.awaiting.push_back(Instant::now());
+                        conn.sent += 1;
+                    }
+                }
+                conn.inbuf.drain(..consumed);
+                conn.flush();
+            }
+            // Keep write interest in sync with buffered output (a large
+            // pipelined burst can overrun the socket buffer).
+            for (token, conn) in conns.iter_mut().enumerate() {
+                let want = conn.out_pos < conn.outbuf.len();
+                if want != conn.want_write {
+                    poller
+                        .modify(conn.stream.as_raw_fd(), token as u64, true, want)
+                        .expect("modify client interest");
+                    conn.want_write = want;
                 }
             }
-            conn.inbuf.drain(..consumed);
-            conn.flush();
         }
-        // Keep write interest in sync with buffered output (a large
-        // pipelined burst can overrun the socket buffer).
-        for (token, conn) in conns.iter_mut().enumerate() {
-            let want = conn.out_pos < conn.outbuf.len();
-            if want != conn.want_write {
-                poller
-                    .modify(conn.stream.as_raw_fd(), token as u64, true, want)
-                    .expect("modify client interest");
-                conn.want_write = want;
-            }
+        let wall = started.expect("phase never started").elapsed();
+        for conn in &conns {
+            let _ = poller.deregister(conn.stream.as_raw_fd());
+        }
+        latencies.sort_unstable();
+        Phase {
+            name,
+            mode,
+            connections,
+            requests: connections * requests_per_conn,
+            wall,
+            latencies,
         }
     }
-    let wall = started.expect("phase never started").elapsed();
-    for conn in &conns {
-        let _ = poller.deregister(conn.stream.as_raw_fd());
+
+    fn cheap_engine() -> ServiceEngine {
+        let e = ServiceEngine::with_cache(
+            EngineConfig::with_threads(2),
+            Some(Arc::new(CanonicalDecisionCache::new(1024))),
+        );
+        e.define_schema("s", CHEAP_SCHEMA).unwrap();
+        e.define_query("s", "Q", CHEAP_QUERY).unwrap();
+        e
     }
-    latencies.sort_unstable();
-    Phase {
-        name,
-        mode,
-        connections,
-        requests: connections * requests_per_conn,
-        wall,
-        latencies,
+
+    /// Cache *disabled*: every uncoalesced request pays the full branch walk,
+    /// which is exactly what singleflight is supposed to collapse.
+    fn hot_engine(coalesce: bool) -> ServiceEngine {
+        let e = ServiceEngine::with_cache(EngineConfig::with_threads(8), None)
+            .with_coalescing(coalesce);
+        e.define_schema("s", HOT_SCHEMA).unwrap();
+        e.define_query("s", "P", HOT_LEFT).unwrap();
+        e.define_query("s", "Q", HOT_RIGHT).unwrap();
+        e
     }
-}
 
-fn cheap_engine() -> ServiceEngine {
-    let e = ServiceEngine::with_cache(
-        EngineConfig::with_threads(2),
-        Some(Arc::new(CanonicalDecisionCache::new(1024))),
-    );
-    e.define_schema("s", CHEAP_SCHEMA).unwrap();
-    e.define_query("s", "Q", CHEAP_QUERY).unwrap();
-    e
-}
+    pub fn main() {
+        let out_path = std::env::args()
+            .nth(1)
+            .unwrap_or_else(|| "BENCH_load.json".into());
+        let p = Preset::from_env();
 
-/// Cache *disabled*: every uncoalesced request pays the full branch walk,
-/// which is exactly what singleflight is supposed to collapse.
-fn hot_engine(coalesce: bool) -> ServiceEngine {
-    let e =
-        ServiceEngine::with_cache(EngineConfig::with_threads(8), None).with_coalescing(coalesce);
-    e.define_schema("s", HOT_SCHEMA).unwrap();
-    e.define_query("s", "P", HOT_LEFT).unwrap();
-    e.define_query("s", "Q", HOT_RIGHT).unwrap();
-    e
-}
-
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_load.json".into());
-    let p = Preset::from_env();
-
-    eprintln!(
-        "bench_load: {} connections x {} requests (pipeline depth {}), \
+        eprintln!(
+            "bench_load: {} connections x {} requests (pipeline depth {}), \
          hot-key {} x {}",
-        p.connections,
-        p.requests_per_conn,
-        p.pipeline_depth,
-        p.hot_connections,
-        p.hot_requests_per_conn
-    );
-
-    let reactor = {
-        let server = Server::start(cheap_engine(), true);
-        run_phase(
-            "reactor_cheap",
-            "reactor",
-            server.addr,
             p.connections,
             p.requests_per_conn,
             p.pipeline_depth,
-            CHEAP_REQUEST,
-        )
-    };
-    eprintln!("  reactor: {:.0} req/s", reactor.rps());
-    let legacy = {
-        let server = Server::start(cheap_engine(), false);
-        run_phase(
-            "thread_per_conn_cheap",
-            "thread_per_conn",
-            server.addr,
-            p.connections,
-            p.requests_per_conn,
-            p.pipeline_depth,
-            CHEAP_REQUEST,
-        )
-    };
-    eprintln!("  thread-per-conn: {:.0} req/s", legacy.rps());
-    let coalesced = {
-        let server = Server::start(hot_engine(true), true);
-        run_phase(
-            "coalesced_hot_key",
-            "reactor",
-            server.addr,
             p.hot_connections,
-            p.hot_requests_per_conn,
-            1,
-            HOT_REQUEST,
-        )
-    };
-    eprintln!("  coalesced hot key: {:.0} req/s", coalesced.rps());
-    let uncoalesced = {
-        let server = Server::start(hot_engine(false), true);
-        run_phase(
-            "uncoalesced_hot_key",
-            "reactor",
-            server.addr,
-            p.hot_connections,
-            p.hot_requests_per_conn,
-            1,
-            HOT_REQUEST,
-        )
-    };
-    eprintln!("  uncoalesced hot key: {:.0} req/s", uncoalesced.rps());
+            p.hot_requests_per_conn
+        );
 
-    let reactor_ratio = reactor.rps() / legacy.rps();
-    let coalesce_ratio = coalesced.rps() / uncoalesced.rps();
-    assert!(
-        coalesce_ratio >= 5.0,
-        "singleflight floor: coalesced hot-key throughput must be >= 5x \
+        let reactor = {
+            let server = Server::start(cheap_engine(), true);
+            run_phase(
+                "reactor_cheap",
+                "reactor",
+                server.addr,
+                p.connections,
+                p.requests_per_conn,
+                p.pipeline_depth,
+                CHEAP_REQUEST,
+            )
+        };
+        eprintln!("  reactor: {:.0} req/s", reactor.rps());
+        let legacy = {
+            let server = Server::start(cheap_engine(), false);
+            run_phase(
+                "thread_per_conn_cheap",
+                "thread_per_conn",
+                server.addr,
+                p.connections,
+                p.requests_per_conn,
+                p.pipeline_depth,
+                CHEAP_REQUEST,
+            )
+        };
+        eprintln!("  thread-per-conn: {:.0} req/s", legacy.rps());
+        let coalesced = {
+            let server = Server::start(hot_engine(true), true);
+            run_phase(
+                "coalesced_hot_key",
+                "reactor",
+                server.addr,
+                p.hot_connections,
+                p.hot_requests_per_conn,
+                1,
+                HOT_REQUEST,
+            )
+        };
+        eprintln!("  coalesced hot key: {:.0} req/s", coalesced.rps());
+        let uncoalesced = {
+            let server = Server::start(hot_engine(false), true);
+            run_phase(
+                "uncoalesced_hot_key",
+                "reactor",
+                server.addr,
+                p.hot_connections,
+                p.hot_requests_per_conn,
+                1,
+                HOT_REQUEST,
+            )
+        };
+        eprintln!("  uncoalesced hot key: {:.0} req/s", uncoalesced.rps());
+
+        let reactor_ratio = reactor.rps() / legacy.rps();
+        let coalesce_ratio = coalesced.rps() / uncoalesced.rps();
+        assert!(
+            coalesce_ratio >= 5.0,
+            "singleflight floor: coalesced hot-key throughput must be >= 5x \
          uncoalesced (coalesced {:.0} req/s, uncoalesced {:.0} req/s, ratio {:.1})",
-        coalesced.rps(),
-        uncoalesced.rps(),
-        coalesce_ratio,
-    );
-    assert!(
-        reactor_ratio >= p.reactor_floor,
-        "reactor floor: event-driven serving must sustain >= {}x the \
+            coalesced.rps(),
+            uncoalesced.rps(),
+            coalesce_ratio,
+        );
+        assert!(
+            reactor_ratio >= p.reactor_floor,
+            "reactor floor: event-driven serving must sustain >= {}x the \
          thread-per-connection req/s at {} connections \
          (reactor {:.0} req/s, legacy {:.0} req/s, ratio {:.1})",
-        p.reactor_floor,
-        p.connections,
-        reactor.rps(),
-        legacy.rps(),
-        reactor_ratio,
-    );
+            p.reactor_floor,
+            p.connections,
+            reactor.rps(),
+            legacy.rps(),
+            reactor_ratio,
+        );
 
-    let phases = [&reactor, &legacy, &coalesced, &uncoalesced];
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str("  \"experiment\": \"B11\",\n");
-    json.push_str("  \"workload\": \"serving_reactor_concurrency_load\",\n");
-    json.push_str(&format!(
-        "  \"host\": {{ \"cores\": {} }},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    json.push_str(&format!(
-        "  \"config\": {{ \"connections\": {}, \"requests_per_conn\": {}, \
-         \"pipeline_depth\": {}, \"hot_connections\": {}, \"hot_requests_per_conn\": {} }},\n",
-        p.connections,
-        p.requests_per_conn,
-        p.pipeline_depth,
-        p.hot_connections,
-        p.hot_requests_per_conn
-    ));
-    json.push_str("  \"entries\": [\n");
-    for (i, ph) in phases.iter().enumerate() {
+        let phases = [&reactor, &legacy, &coalesced, &uncoalesced];
+        let mut json = String::new();
+        json.push_str("{\n");
+        json.push_str("  \"schema_version\": 1,\n");
+        json.push_str("  \"experiment\": \"B11\",\n");
+        json.push_str("  \"workload\": \"serving_reactor_concurrency_load\",\n");
         json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"mode\": \"{}\", \"connections\": {}, \
+            "  \"host\": {{ \"cores\": {} }},\n",
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        ));
+        json.push_str(&format!(
+            "  \"config\": {{ \"connections\": {}, \"requests_per_conn\": {}, \
+         \"pipeline_depth\": {}, \"hot_connections\": {}, \"hot_requests_per_conn\": {} }},\n",
+            p.connections,
+            p.requests_per_conn,
+            p.pipeline_depth,
+            p.hot_connections,
+            p.hot_requests_per_conn
+        ));
+        json.push_str("  \"entries\": [\n");
+        for (i, ph) in phases.iter().enumerate() {
+            json.push_str(&format!(
+                "    {{ \"name\": \"{}\", \"mode\": \"{}\", \"connections\": {}, \
              \"requests\": {}, \"wall_ms\": {:.1}, \"rps\": {:.0}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1} }}{}\n",
-            ph.name,
-            ph.mode,
-            ph.connections,
-            ph.requests,
-            ph.wall.as_secs_f64() * 1e3,
-            ph.rps(),
-            ph.percentile_us(0.50),
-            ph.percentile_us(0.99),
-            ph.percentile_us(0.999),
-            if i + 1 == phases.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"ratios\": {{ \"reactor_vs_thread_per_conn\": {:.2}, \"reactor_floor\": {:.1}, \
+                ph.name,
+                ph.mode,
+                ph.connections,
+                ph.requests,
+                ph.wall.as_secs_f64() * 1e3,
+                ph.rps(),
+                ph.percentile_us(0.50),
+                ph.percentile_us(0.99),
+                ph.percentile_us(0.999),
+                if i + 1 == phases.len() { "" } else { "," }
+            ));
+        }
+        json.push_str("  ],\n");
+        json.push_str(&format!(
+            "  \"ratios\": {{ \"reactor_vs_thread_per_conn\": {:.2}, \"reactor_floor\": {:.1}, \
          \"coalesced_vs_uncoalesced\": {:.2}, \"coalesce_floor\": 5.0 }}\n",
-        reactor_ratio, p.reactor_floor, coalesce_ratio
-    ));
-    json.push_str("}\n");
+            reactor_ratio, p.reactor_floor, coalesce_ratio
+        ));
+        json.push_str("}\n");
 
-    std::fs::write(&out_path, &json).unwrap();
-    println!("wrote {out_path}");
-    println!(
-        "bench_load: reactor {:.1}x thread-per-conn, coalescing {:.1}x uncoalesced",
-        reactor_ratio, coalesce_ratio
-    );
+        std::fs::write(&out_path, &json).unwrap();
+        println!("wrote {out_path}");
+        println!(
+            "bench_load: reactor {:.1}x thread-per-conn, coalescing {:.1}x uncoalesced",
+            reactor_ratio, coalesce_ratio
+        );
+    }
 }

@@ -9,12 +9,12 @@
 //! dispatcher→worker queue (default `16 × threads`), so a slow pool
 //! pushes back on the client instead of buffering an unbounded backlog.
 //!
-//! TCP connections are served by an event-driven reactor multiplexing
-//! every session over that one worker pool, with singleflight coalescing
-//! of concurrent identical decisions (DESIGN.md §11). `OOCQ_REACTOR=0`
-//! restores the thread-per-connection loop (byte-identical transcripts);
-//! `OOCQ_MAX_CONNS` caps concurrent connections (default 4096, `err
-//! busy` past the cap); `OOCQ_COALESCE=0` disables coalescing.
+//! On Linux, TCP connections are served by an event-driven reactor
+//! multiplexing every session over that one worker pool, with singleflight
+//! coalescing of concurrent identical decisions (DESIGN.md §11); elsewhere
+//! each connection gets its own thread and pool. Both speak the same
+//! bytes. `OOCQ_MAX_CONNS` caps concurrent connections (default 4096,
+//! `err busy` past the cap); `OOCQ_COALESCE=0` disables coalescing.
 
 fn main() {
     if let Err(e) = oocq_service::daemon_main() {

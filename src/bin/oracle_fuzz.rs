@@ -149,6 +149,11 @@ fn main() {
                 eprintln!("seed {seed}: {v}");
                 violations.push((seed, v));
             }
+            // Printed unconditionally so an engine failure can be replayed
+            // from the seed (`--seed N --iterations 1`).
+            Outcome::EngineError(e) => {
+                eprintln!("seed {seed}: engine error: {e}");
+            }
             Outcome::RefutedUnconfirmed if args.verbose => {
                 eprintln!("seed {seed}: refutation not confirmed");
             }

@@ -318,9 +318,10 @@ fn oracle_fuzz_small_preset_passes() {
 }
 
 /// `bench_load` runs end to end in its quick preset: the reactor, the
-/// legacy thread-per-connection loop, and the coalesced/uncoalesced
-/// hot-key phases all complete over real sockets, the singleflight floor
-/// holds, and the JSON report lands where asked.
+/// thread-per-connection loop, and the coalesced/uncoalesced hot-key
+/// phases all complete over real sockets, the singleflight floor holds,
+/// and the JSON report lands where asked.
+#[cfg(target_os = "linux")]
 #[test]
 fn bench_load_quick_preset_passes() {
     use std::process::Command;
